@@ -9,7 +9,7 @@ GO ?= go
 # below it.
 COVER_FLOOR ?= 70
 
-.PHONY: all build test vet race ci chaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench
+.PHONY: all build test vet race linear ci chaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench
 
 # Scenario matrix for `make chaos`: every topology shape the scenario
 # library knows, each run under the full chaos matrix.
@@ -24,9 +24,19 @@ MEGA_AGENTS ?= 1000
 # committed baseline: the 1k-domain worker-sweep endpoints, the warm-
 # cache incremental re-check (bare, and with the change-contract
 # pre-gate on top), the paper-scale 10k-domain cold check (serial and
-# 1/8-worker parallel), and the mega-fleet agent path (one in-memory
-# round-trip, and a 512-agent fleet install).
-GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall)$$
+# 1/8-worker parallel), the mega-fleet agent path (one in-memory
+# round-trip, and a 512-agent fleet install), and configuration
+# generation for 20,000 agents. On the round-trip the B/op comparison is
+# the point: a receive buffer allocated per datagram moves it tenfold.
+# A per-instance scan of the permission table allocates nothing extra,
+# so on the generation it is ns/op that holds the line here, and
+# TestGenerateLinear (`make linear`) on machines whose timings do not
+# compare with the baseline's.
+GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall|BenchmarkConfigGen20k)$$
+
+# The committed baselines bench-guard compares against, oldest first: a
+# successor supersedes the benchmarks it measured again.
+BENCH_BASELINES = BENCH_5.json,BENCH_14.json
 
 # The §1-scale tier: the 100k-domain cold check and warm single-change
 # re-check, and the 25k-agent fleet install. Model construction alone
@@ -53,7 +63,13 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-ci: vet race chaos svc-smoke
+# The linearity gate on its own, without the race detector's overhead in
+# the timings: configgen.Generate's cost per agent at 20,000 agents
+# within 4x of its cost at 2,000, both measured in the one run.
+linear:
+	$(GO) test -run 'TestGenerateLinear' -count=1 -v ./internal/configgen
+
+ci: vet race linear chaos svc-smoke
 
 # Chaos gate: the crash-resume tests re-run several times under the race
 # detector, each run killing the journaled rollout at a different offset
@@ -157,16 +173,17 @@ bench-ci: bench-mutex bench-heap
 
 # Regression guard over the perf-critical benchmarks: measure the
 # sharded check and the warm-cache incremental re-check (min of three
-# short runs), then compare against the committed baseline BENCH_5.json
-# with a +-20% tolerance. Skips cleanly when the baseline was recorded
-# on different hardware (the guard compares CPU strings).
+# short runs), then compare against the committed baselines
+# ($(BENCH_BASELINES)) with a +-20% tolerance. Skips cleanly when a
+# baseline was recorded on different hardware (the guard compares CPU
+# strings).
 bench-guard:
 	$(GO) test -bench='$(GUARDED_BENCH)' -benchmem \
 		-benchtime=20x -count=3 -run='^$$' . | tee BENCH_guard.txt
 	$(GO) test -bench='$(GUARDED_SCALE_BENCH)' -benchmem \
 		-benchtime=2x -count=2 -timeout 30m -run='^$$' . | tee -a BENCH_guard.txt
 	$(GO) run ./scripts/bench2json < BENCH_guard.txt > BENCH_guard.json
-	$(GO) run ./scripts/benchguard -baseline BENCH_5.json -current BENCH_guard.json
+	$(GO) run ./scripts/benchguard -baseline $(BENCH_BASELINES) -current BENCH_guard.json
 
 # Nightly measurement of the guarded benchmarks (the scheduled CI job):
 # same sampling as bench-guard, archived rather than compared, so a

@@ -460,11 +460,13 @@ func BenchmarkReverseSolve(b *testing.B) {
 
 // ---- T-GEN: configuration generation ----
 
-func BenchmarkConfigGen(b *testing.B) {
-	m, err := netsim.Model(netsim.Params{Domains: 200, SystemsPerDomain: 2, Seed: 1})
+func benchConfigGen(b *testing.B, domains int) {
+	m, err := netsim.Model(netsim.Params{Domains: domains, SystemsPerDomain: 2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	agents := len(cfggen.Generate(m)) // and the model's permission index, built once
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		configs := cfggen.Generate(m)
@@ -472,8 +474,16 @@ func BenchmarkConfigGen(b *testing.B) {
 			b.Fatal("no configs")
 		}
 	}
-	b.ReportMetric(float64(len(cfggen.Generate(m))), "agents")
+	b.ReportMetric(float64(agents), "agents")
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*agents)*1e9, "ns/agent")
 }
+
+func BenchmarkConfigGen(b *testing.B) { benchConfigGen(b, 200) }
+
+// BenchmarkConfigGen20k is generation at the paper's scale: 10,000
+// domains, 20,000 agents. ns/agent here against BenchmarkConfigGen's is
+// the linearity check; allocs/op and B/op are what bench-guard holds.
+func BenchmarkConfigGen20k(b *testing.B) { benchConfigGen(b, 10000) }
 
 func BenchmarkConfigWriteSnmpdConf(b *testing.B) {
 	m, err := netsim.Model(netsim.Params{Domains: 10, SystemsPerDomain: 2, Seed: 1})

@@ -153,7 +153,7 @@ func AgentContext(ctx context.Context, m *consistency.Model, instID, addr string
 	if inst == nil {
 		return nil, fmt.Errorf("audit: instance %q: %w", instID, consistency.ErrUnknownInstance)
 	}
-	expected := configgen.Generate(m)[instID]
+	expected := configgen.GenerateFor(m, instID)
 	if expected == nil {
 		return nil, fmt.Errorf("audit: instance %q: %w", instID, consistency.ErrNotAgent)
 	}

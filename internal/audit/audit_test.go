@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"nmsl/internal/configgen"
 	"nmsl/internal/consistency"
 	"nmsl/internal/mib"
+	"nmsl/internal/netsim"
 	"nmsl/internal/paperspec"
 	"nmsl/internal/parser"
 	"nmsl/internal/sema"
@@ -253,5 +255,53 @@ func TestAuditErrors(t *testing.T) {
 	}
 	if _, err := Agent(m, "snmpaddr@wisc-cs#0", "127.0.0.1:1", Options{}); err == nil {
 		t.Error("non-agent instance accepted")
+	}
+}
+
+// TestAuditCostIndependentOfFleetSize audits one agent of a 20-agent
+// model and one of a 2,000-agent model and holds the second to twice the
+// first's allocations. AgentContext derives the expected policy for the
+// audited instance alone; when it generated the whole fleet's to pick
+// one entry, the large audit allocated a hundred times the small one's,
+// and a gate or sweep over the fleet was quadratic. Allocations are
+// counted, not summed in bytes: the count is the same on every machine
+// and under the race detector.
+func TestAuditCostIndependentOfFleetSize(t *testing.T) {
+	auditOne := func(domains int) uint64 {
+		m, err := netsim.Model(netsim.Params{Domains: domains, SystemsPerDomain: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := ""
+		for _, in := range m.Instances {
+			if in.Proc.IsAgent() {
+				id = in.ID
+				break
+			}
+		}
+		// Also builds the model's per-grantor index, as its check would
+		// have: that is once per model, not per audit.
+		cfg := configgen.GenerateFor(m, id)
+		if cfg == nil || len(cfg.Communities) == 0 {
+			t.Fatalf("%d domains: no policy for %q", domains, id)
+		}
+		addr := startAgent(t, m, cfg)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := Agent(m, id, addr, Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Adheres() || rep.Probes == 0 {
+			t.Fatalf("%d domains: audit of %s:\n%s", domains, id, rep)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := auditOne(10), auditOne(1000)
+	t.Logf("one audit: %d allocations in a 20-agent model, %d in a 2,000-agent model", small, large)
+	if large > 2*small {
+		t.Errorf("auditing one agent of 2,000 made %d allocations, over twice the %d of one agent of 20", large, small)
 	}
 }

@@ -57,41 +57,59 @@ const (
 // restrict matching communities (larger minimum interval, narrower
 // access), mirroring the checker's restriction rule.
 func Generate(m *consistency.Model) map[string]*snmp.Config {
-	out := map[string]*snmp.Config{}
+	out := make(map[string]*snmp.Config, len(m.Instances))
 	for _, in := range m.Instances {
-		if !in.Proc.IsAgent() {
-			continue
+		if cfg := generateInstance(m, in); cfg != nil {
+			out[in.ID] = cfg
 		}
-		cfg := &snmp.Config{Communities: map[string]*snmp.CommunityConfig{}}
-		for i := range m.Perms {
-			p := &m.Perms[i]
-			if p.GrantorInst != in.ID {
-				continue
-			}
-			cc := cfg.Communities[p.Grantee]
-			if cc == nil {
-				cc = &snmp.CommunityConfig{Access: mib.AccessNone}
-				cfg.Communities[p.Grantee] = cc
-			}
-			// Each permission becomes its own view entry carrying its own
-			// mode. Collapsing the modes into one per-community value (as
-			// this used to do) either leaks — a grantee holding ReadWrite
-			// on one subtree and ReadOnly on another got the write mode on
-			// both — or over-restricts, depending on permission order.
-			cc.View = append(cc.View, snmp.View{Prefix: p.Var.OID(), Access: exportAccess(p.Access)})
-			iv := time.Duration(p.MinPeriod * float64(time.Second))
-			if iv > cc.MinInterval {
-				cc.MinInterval = iv
-			}
-		}
-		applyDomainRestrictions(m, in, cfg)
-		for _, cc := range cfg.Communities {
-			sortViews(cc)
-			summarizeAccess(cc)
-		}
-		out[in.ID] = cfg
 	}
 	return out
+}
+
+// GenerateFor derives the configuration of one agent instance: the
+// entry Generate(m)[instID] would hold, at the cost of that instance's
+// own permissions rather than the fleet's. It returns nil for an unknown
+// instance or one that is not an agent.
+func GenerateFor(m *consistency.Model, instID string) *snmp.Config {
+	in := m.InstanceByID(instID)
+	if in == nil {
+		return nil
+	}
+	return generateInstance(m, in)
+}
+
+// generateInstance builds one instance's configuration from the
+// permissions it grants, read off the checker's per-grantor index in
+// ascending permission order — the order a scan of m.Perms visits them.
+func generateInstance(m *consistency.Model, in *consistency.Instance) *snmp.Config {
+	if !in.Proc.IsAgent() {
+		return nil
+	}
+	cfg := &snmp.Config{Communities: map[string]*snmp.CommunityConfig{}}
+	for _, pi := range m.PermsGrantedBy(in.ID) {
+		p := &m.Perms[pi]
+		cc := cfg.Communities[p.Grantee]
+		if cc == nil {
+			cc = &snmp.CommunityConfig{Access: mib.AccessNone}
+			cfg.Communities[p.Grantee] = cc
+		}
+		// Each permission becomes its own view entry carrying its own
+		// mode. Collapsing the modes into one per-community value (as
+		// this used to do) either leaks — a grantee holding ReadWrite
+		// on one subtree and ReadOnly on another got the write mode on
+		// both — or over-restricts, depending on permission order.
+		cc.View = append(cc.View, snmp.View{Prefix: p.Var.OID(), Access: exportAccess(p.Access)})
+		iv := time.Duration(p.MinPeriod * float64(time.Second))
+		if iv > cc.MinInterval {
+			cc.MinInterval = iv
+		}
+	}
+	applyDomainRestrictions(m, in, cfg)
+	for _, cc := range cfg.Communities {
+		sortViews(cc)
+		summarizeAccess(cc)
+	}
+	return cfg
 }
 
 // exportAccess normalizes a permission's mode for storage in a view
@@ -210,10 +228,14 @@ func summarizeAccess(cc *snmp.CommunityConfig) {
 // access; the writer always emits the suffix so per-view modes survive a
 // round trip.
 func WriteSnmpdConf(w io.Writer, cfg *snmp.Config) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# generated by nmslgen (BartsSnmpd format)")
+	// One small buffer and one Write: a typical config is under 100
+	// bytes, and a fleet renders tens of thousands of them.
+	b := make([]byte, 0, 256)
+	b = append(b, "# generated by nmslgen (BartsSnmpd format)\n"...)
 	if cfg.AdminCommunity != "" {
-		fmt.Fprintf(bw, "admin %s\n", cfg.AdminCommunity)
+		b = append(b, "admin "...)
+		b = append(b, cfg.AdminCommunity...)
+		b = append(b, '\n')
 	}
 	names := make([]string, 0, len(cfg.Communities))
 	for name := range cfg.Communities {
@@ -222,18 +244,32 @@ func WriteSnmpdConf(w io.Writer, cfg *snmp.Config) error {
 	sort.Strings(names)
 	for _, name := range names {
 		cc := cfg.Communities[name]
-		views := make([]string, len(cc.View))
+		b = append(b, "community "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = append(b, cc.Access.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, cc.MinInterval.Seconds(), 'g', -1, 64) // as %g
+		b = append(b, ' ')
 		for i, v := range cc.View {
-			if v.Access == mib.AccessUnspecified {
-				views[i] = v.Prefix.String()
-			} else {
-				views[i] = v.Prefix.String() + ":" + v.Access.String()
+			if i > 0 {
+				b = append(b, ',')
+			}
+			for j, arc := range v.Prefix {
+				if j > 0 {
+					b = append(b, '.')
+				}
+				b = strconv.AppendInt(b, int64(arc), 10)
+			}
+			if v.Access != mib.AccessUnspecified {
+				b = append(b, ':')
+				b = append(b, v.Access.String()...)
 			}
 		}
-		fmt.Fprintf(bw, "community %s %s %g %s\n",
-			name, cc.Access, cc.MinInterval.Seconds(), strings.Join(views, ","))
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
 // ParseSnmpdConf parses the BartsSnmpd text format back into a Config,

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"nmsl/internal/consistency"
+	"nmsl/internal/extension"
 	"nmsl/internal/mib"
+	"nmsl/internal/netsim"
 	"nmsl/internal/paperspec"
 	"nmsl/internal/parser"
 	"nmsl/internal/sema"
@@ -56,6 +59,276 @@ func TestGeneratePaperSpec(t *testing.T) {
 	mibOID := m.Spec.MIB.Lookup("mgmt.mib").OID()
 	if len(cc.View) != 1 || cc.View[0].Prefix.Compare(mibOID) != 0 {
 		t.Errorf("view %v", cc.View)
+	}
+}
+
+// generateScan is Generate as it was before the per-grantor index: every
+// instance scans every permission. It is kept as the oracle for the
+// differential tests, nowhere else.
+func generateScan(m *consistency.Model) map[string]*snmp.Config {
+	out := map[string]*snmp.Config{}
+	for _, in := range m.Instances {
+		if !in.Proc.IsAgent() {
+			continue
+		}
+		cfg := &snmp.Config{Communities: map[string]*snmp.CommunityConfig{}}
+		for i := range m.Perms {
+			p := &m.Perms[i]
+			if p.GrantorInst != in.ID {
+				continue
+			}
+			cc := cfg.Communities[p.Grantee]
+			if cc == nil {
+				cc = &snmp.CommunityConfig{Access: mib.AccessNone}
+				cfg.Communities[p.Grantee] = cc
+			}
+			cc.View = append(cc.View, snmp.View{Prefix: p.Var.OID(), Access: exportAccess(p.Access)})
+			iv := time.Duration(p.MinPeriod * float64(time.Second))
+			if iv > cc.MinInterval {
+				cc.MinInterval = iv
+			}
+		}
+		applyDomainRestrictions(m, in, cfg)
+		for _, cc := range cfg.Communities {
+			sortViews(cc)
+			summarizeAccess(cc)
+		}
+		out[in.ID] = cfg
+	}
+	return out
+}
+
+// restrictedSpec exercises what the synthetic internets do not: nested
+// restricting domains (lab inside campus, both exporting), a community
+// a restriction drops, mixed per-view modes, one process type hosted
+// twice, an agent that exports nothing, and a process that is no agent.
+const restrictedSpec = `
+process agent ::=
+    supports mgmt.mib;
+    exports mgmt.mib to "public" access Any frequency >= 1 minutes;
+    exports mgmt.mib.system to "ops" access ReadOnly;
+    exports mgmt.mib.ip to "ops" access Any frequency > 30 seconds;
+    exports mgmt.mib to "outsiders" access ReadOnly;
+end process agent.
+process mute ::=
+    supports mgmt.mib.system;
+end process mute.
+process poller ::=
+    queries agent requests mgmt.mib.system frequency >= 10 minutes;
+end process poller.
+system "inside" ::=
+    cpu sparc;
+    interface ie0 net lab type ethernet-csmacd speed 10000000 bps;
+    supports mgmt.mib;
+    process agent;
+    process mute;
+    process agent;
+end system "inside".
+system "edge" ::=
+    cpu sparc;
+    interface ie0 net campus type ethernet-csmacd speed 10000000 bps;
+    supports mgmt.mib;
+    process agent;
+    process poller;
+end system "edge".
+system "free" ::=
+    cpu sparc;
+    interface ie0 net world type ethernet-csmacd speed 10000000 bps;
+    supports mgmt.mib;
+    process agent;
+end system "free".
+domain lab ::=
+    system inside;
+    exports mgmt.mib.system to "public" access ReadOnly frequency >= 10 minutes;
+    exports mgmt.mib.ip to "ops" access ReadOnly;
+end domain lab.
+domain campus ::=
+    domain lab;
+    system edge;
+    exports mgmt.mib to "public" access ReadOnly frequency >= 5 minutes;
+    exports mgmt.mib to "ops" access Any;
+end domain campus.
+domain ops ::= end domain ops.
+domain outsiders ::= end domain outsiders.
+domain public ::= domain campus; system free; end domain public.
+`
+
+// differentialModels returns every model the generation oracle runs
+// over: the testdata corpus, the paper's specification, the five netsim
+// scenarios and restrictedSpec.
+func differentialModels(t *testing.T) map[string]*consistency.Model {
+	t.Helper()
+	models := map[string]*consistency.Model{
+		"paperspec":  buildModel(t, paperspec.Combined),
+		"restricted": buildModel(t, restrictedSpec),
+	}
+	files, err := filepath.Glob("../../testdata/*.nmsl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata corpus: %v", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.Parse(path, string(data))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		a := sema.NewAnalyzer()
+		if filepath.Base(path) == "machineroom.nmsl" {
+			extSrc, err := os.ReadFile("../../testdata/proxy.nmslext")
+			if err != nil {
+				t.Fatal(err)
+			}
+			exts, err := extension.ParseFile("proxy.nmslext", string(extSrc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			extension.InstallAll(a.Tables(), exts)
+		}
+		a.AnalyzeFile(f)
+		spec, err := a.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		models[filepath.Base(path)] = consistency.BuildModel(spec)
+	}
+	for _, name := range netsim.Scenarios() {
+		params, err := netsim.ScenarioParams(netsim.Scenario(name), 120, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := netsim.Model(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models["netsim-"+name] = m
+	}
+	return models
+}
+
+// sameConfig fails unless got is byte-for-byte the configuration want.
+func sameConfig(t *testing.T, what string, got, want *snmp.Config) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Errorf("%s: got %v, want %v", what, got, want)
+		}
+		return
+	}
+	gb, err := snmp.MarshalConfig(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := snmp.MarshalConfig(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("%s: config differs from the scan's\n got %s\nwant %s", what, gb, wb)
+	}
+	if got.Digest() != want.Digest() {
+		t.Errorf("%s: digest %s, want %s", what, got.Digest(), want.Digest())
+	}
+}
+
+// TestGenerateMatchesScan is the differential oracle for the indexed
+// Generate: on every model, Generate and a per-instance GenerateFor must
+// reproduce the old whole-table scan byte for byte.
+func TestGenerateMatchesScan(t *testing.T) {
+	for name, m := range differentialModels(t) {
+		t.Run(name, func(t *testing.T) {
+			want := generateScan(m)
+			got := Generate(m)
+			if len(got) != len(want) {
+				t.Fatalf("Generate made %d configs, the scan %d", len(got), len(want))
+			}
+			agents := 0
+			for _, in := range m.Instances {
+				w := want[in.ID]
+				if w != nil {
+					agents++
+				}
+				sameConfig(t, "Generate "+in.ID, got[in.ID], w)
+				sameConfig(t, "GenerateFor "+in.ID, GenerateFor(m, in.ID), w)
+			}
+			if agents != len(want) {
+				t.Fatalf("%d agents among the instances, %d configs", agents, len(want))
+			}
+			if cfg := GenerateFor(m, "nobody@nowhere#0"); cfg != nil {
+				t.Errorf("GenerateFor an unknown instance: %+v", cfg)
+			}
+		})
+	}
+}
+
+// TestGenerateRestrictedSpecShape pins that restrictedSpec really holds
+// the cases the oracle is meant to cover, so an edit to it cannot quietly
+// turn TestGenerateMatchesScan into a test of the easy path.
+func TestGenerateRestrictedSpecShape(t *testing.T) {
+	m := buildModel(t, restrictedSpec)
+	configs := Generate(m)
+	if cfg := configs["mute@inside#1"]; cfg == nil || len(cfg.Communities) != 0 {
+		t.Errorf("an agent granted nothing must get an empty config, got %+v", cfg)
+	}
+	if configs["poller@edge#1"] != nil || GenerateFor(m, "poller@edge#1") != nil {
+		t.Error("a process that supports nothing is not an agent")
+	}
+	inside, edge, free := configs["agent@inside#0"], configs["agent@edge#0"], configs["agent@free#0"]
+	if inside == nil || edge == nil || free == nil || configs["agent@inside#2"] == nil {
+		t.Fatalf("missing agent configs: %v", keys(configs))
+	}
+	if len(free.Communities) != 3 {
+		t.Errorf("unrestricted agent keeps all three communities, got %v", keys(free.Communities))
+	}
+	if _, ok := edge.Communities["outsiders"]; ok {
+		t.Error("campus exports nothing to outsiders; the community must be dropped")
+	}
+	if got := inside.Communities["public"].MinInterval; got != 10*time.Minute {
+		t.Errorf("lab's stricter bound must win inside lab, got %v", got)
+	}
+	if got := edge.Communities["public"].MinInterval; got != 5*time.Minute {
+		t.Errorf("campus's bound applies on the edge, got %v", got)
+	}
+	if inside.Digest() == edge.Digest() || edge.Digest() == free.Digest() {
+		t.Error("the three placements must generate different configs")
+	}
+}
+
+// TestGenerateLinear is the linearity gate: per-agent generation cost at
+// 20,000 agents within 4x of the cost at 2,000 (the whole-table scan was
+// ~11x). Both sizes are timed in this one run, best of three, so the
+// ratio carries across machines.
+func TestGenerateLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10,000-domain model")
+	}
+	perAgent := func(domains int) float64 {
+		m, err := netsim.Model(netsim.Params{Domains: domains, SystemsPerDomain: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Generate(m) // build the index outside the timing, as a check would have
+		best := time.Duration(1<<63 - 1)
+		agents := 0
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			start := time.Now()
+			agents = len(Generate(m))
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		if agents != 2*domains {
+			t.Fatalf("%d domains made %d configs", domains, agents)
+		}
+		return float64(best.Nanoseconds()) / float64(agents)
+	}
+	small, large := perAgent(1000), perAgent(10000)
+	t.Logf("Generate: %.0f ns/agent at 2,000 agents, %.0f ns/agent at 20,000 (%.1fx)", small, large, large/small)
+	if large > 4*small {
+		t.Errorf("Generate is not linear: %.0f ns/agent at 20,000 agents vs %.0f at 2,000 (%.1fx, want <= 4x)", large, small, large/small)
 	}
 }
 
@@ -235,6 +508,52 @@ func TestSnmpdConfRoundTrip(t *testing.T) {
 	pc := got.Communities["public"]
 	if pc.Access != mib.AccessReadOnly || pc.MinInterval != 300*time.Second || len(pc.View) != 2 {
 		t.Fatalf("public %+v", pc)
+	}
+}
+
+// TestSnmpdConfGolden pins WriteSnmpdConf's bytes: sorted communities,
+// an explicit :mode on every view but an unspecified one, and intervals
+// exactly as fmt's %g prints them (whole, fractional, exponent form).
+func TestSnmpdConfGolden(t *testing.T) {
+	cfg := &snmp.Config{
+		AdminCommunity: "adm",
+		Communities: map[string]*snmp.CommunityConfig{
+			"public": {
+				Access:      mib.AccessReadOnly,
+				View:        []snmp.View{{Prefix: mib.OID{1, 3, 6, 1, 2, 1}}, {Prefix: mib.OID{1, 3, 6, 1, 4}, Access: mib.AccessReadOnly}},
+				MinInterval: 300 * time.Second,
+			},
+			"ops": {
+				Access:      mib.AccessAny,
+				View:        []snmp.View{{Prefix: mib.OID{1, 3, 6}, Access: mib.AccessAny}},
+				MinInterval: 1500 * time.Millisecond,
+			},
+			"archive": {
+				Access:      mib.AccessNone,
+				MinInterval: 2000000 * time.Second,
+			},
+		},
+	}
+	const want = `# generated by nmslgen (BartsSnmpd format)
+admin adm
+community archive None 2e+06 
+community ops Any 1.5 1.3.6:Any
+community public ReadOnly 300 1.3.6.1.2.1,1.3.6.1.4:ReadOnly
+`
+	var buf bytes.Buffer
+	if err := WriteSnmpdConf(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("WriteSnmpdConf wrote\n%q\nwant\n%q", buf.String(), want)
+	}
+	// No admin line, no communities: the header alone.
+	buf.Reset()
+	if err := WriteSnmpdConf(&buf, &snmp.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "# generated by nmslgen (BartsSnmpd format)\n" {
+		t.Errorf("empty config wrote %q", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -50,16 +51,8 @@ func InstallFiles(dir, format string, configs map[string]*snmp.Config) ([]string
 		}
 		paths = append(paths, path)
 	}
-	sortStrings(paths)
+	sort.Strings(paths)
 	return paths, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func sanitizeFilename(id string) string {

@@ -63,6 +63,27 @@ func (m *Model) columns() *columns {
 	return m.cols
 }
 
+// instPermIndex returns, per instance index, the ascending indexes into
+// m.Perms of the permissions that instance grants. It is the columnar
+// tables' permsByInst, built under its own once: configgen.Generate
+// reads it (through PermsGrantedBy) and may run before the model's
+// first check, and going through colsOnce there would make a later
+// SeedColumnsFrom a silent no-op.
+func (m *Model) instPermIndex() [][]int32 {
+	m.instPermsOnce.Do(func() {
+		idx := make([][]int32, len(m.Instances))
+		for pi := range m.Perms {
+			if id := m.Perms[pi].GrantorInst; id != "" {
+				if in := m.byID[id]; in != nil {
+					idx[in.idx] = append(idx[in.idx], int32(pi))
+				}
+			}
+		}
+		m.instPerms = idx
+	})
+	return m.instPerms
+}
+
 // SeedColumnsFrom pre-builds m's columnar tables on the growth path: a
 // DiffSpecs edit rebuilt the model, and the parts of the old model's
 // tables the delta provably left unchanged are adopted instead of
@@ -137,11 +158,12 @@ func buildColumnsFrom(m *Model, old *Model, oldCo *columns, delta *ModelDelta) *
 
 	// Permission columns and the grantor indexes. Appending in perm
 	// order keeps every index list ascending, which candidatePerms and
-	// the fingerprint encoder rely on.
+	// the fingerprint encoder rely on. The per-instance index is the
+	// model's own (instPermIndex); permGrantorInst is its inverse.
 	co.permGrantee = make([]int32, len(m.Perms))
 	co.permGrantorInst = make([]int32, len(m.Perms))
 	co.permGrantorDom = make([]int32, len(m.Perms))
-	co.permsByInst = make([][]int32, len(m.Instances))
+	co.permsByInst = m.instPermIndex()
 	co.permsByDom = make([][]int32, len(names))
 	for pi := range m.Perms {
 		p := &m.Perms[pi]
@@ -150,18 +172,17 @@ func buildColumnsFrom(m *Model, old *Model, oldCo *columns, delta *ModelDelta) *
 			co.permGrantee[pi] = id
 		}
 		co.permGrantorInst[pi] = -1
-		if p.GrantorInst != "" {
-			if in := m.byID[p.GrantorInst]; in != nil {
-				co.permGrantorInst[pi] = in.idx
-				co.permsByInst[in.idx] = append(co.permsByInst[in.idx], int32(pi))
-			}
-		}
 		co.permGrantorDom[pi] = -1
 		if p.GrantorDomain != "" {
 			if id, ok := co.domOf[p.GrantorDomain]; ok {
 				co.permGrantorDom[pi] = id
 				co.permsByDom[id] = append(co.permsByDom[id], int32(pi))
 			}
+		}
+	}
+	for i, pis := range co.permsByInst {
+		for _, pi := range pis {
+			co.permGrantorInst[pi] = int32(i)
 		}
 	}
 

@@ -210,6 +210,10 @@ type Model struct {
 	// check path runs over (columns.go); immutable once built.
 	colsOnce sync.Once
 	cols     *columns
+	// instPermsOnce/instPerms index Perms by granting instance, apart
+	// from colsOnce so configgen can read it (instPermIndex, columns.go).
+	instPermsOnce sync.Once
+	instPerms     [][]int32
 	// varCache memoizes MIB name resolution (Tree.LookupSuffix splits the
 	// path on every call); the same few view patterns resolve on every
 	// reference, so the check's steady state stays allocation-free.
@@ -539,6 +543,19 @@ func (m *Model) buildRefs() {
 
 // InstanceByID returns the instance with the given ID, or nil.
 func (m *Model) InstanceByID(id string) *Instance { return m.byID[id] }
+
+// PermsGrantedBy returns the indexes into Perms of the process-level
+// permissions the instance grants, ascending (so in Perms order); nil
+// for an unknown instance or one that grants nothing. The slice is
+// shared with the checker: callers must not modify it. Calling this
+// before the model's first check does not pre-empt SeedColumnsFrom.
+func (m *Model) PermsGrantedBy(instID string) []int32 {
+	in := m.byID[instID]
+	if in == nil {
+		return nil
+	}
+	return m.instPermIndex()[in.idx]
+}
 
 // PartyDomains returns the sorted set of domains containing the party
 // (instance ID), transitively.

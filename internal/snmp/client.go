@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,6 +22,18 @@ type clientConn interface {
 	SetReadDeadline(t time.Time) error
 	Close() error
 }
+
+// maxDatagram is the largest response a client will read: the UDP
+// maximum, so no agent reply is ever truncated by the receive buffer.
+const maxDatagram = 64 * 1024
+
+// recvBufs recycles receive buffers across round trips and clients: a
+// reply is a few hundred bytes, and a 64 KB buffer allocated and zeroed
+// to hold each one would be most of what a fleet rollout allocates.
+// Pooling is sound because Unmarshal copies every byte string out of
+// the datagram (Decode), so nothing aliases a buffer once it is put
+// back.
+var recvBufs = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
 
 // clientMetrics holds the client's pre-resolved instruments.
 type clientMetrics struct {
@@ -202,7 +215,8 @@ func (c *Client) roundTripID(ctx context.Context, id int32, pduType byte, bindin
 		})
 		defer stop()
 	}
-	buf := make([]byte, 64*1024)
+	buf := recvBufs.Get().(*[maxDatagram]byte)
+	defer recvBufs.Put(buf)
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
@@ -233,7 +247,7 @@ func (c *Client) roundTripID(ctx context.Context, id int32, pduType byte, bindin
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			n, err := c.conn.Read(buf)
+			n, err := c.conn.Read(buf[:])
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, ctxErr

@@ -16,9 +16,14 @@
 // baseline and current documents report different CPU strings the guard
 // prints a warning and exits 0 rather than failing on hardware drift.
 //
+// -baseline takes a comma-separated list, oldest first: a successor
+// (BENCH_14.json) supersedes, benchmark by benchmark, the entries it
+// measured again and adds the ones its PR introduced, and leaves the
+// rest of the earlier baseline standing.
+//
 // Usage:
 //
-//	go run ./scripts/benchguard -baseline BENCH_5.json -current BENCH_guard.json
+//	go run ./scripts/benchguard -baseline BENCH_5.json,BENCH_14.json -current BENCH_guard.json
 package main
 
 import (
@@ -169,6 +174,31 @@ func render(results []result, tol float64) string {
 	return sb.String()
 }
 
+// mergeBaselines folds successor baselines into the first: every
+// benchmark a later document measured replaces all earlier entries of
+// that name. Baselines recorded on different hardware cannot be mixed;
+// the merged CPU string then names both, so compare skips.
+func mergeBaselines(docs []*Document) *Document {
+	merged := &Document{CPU: docs[0].CPU}
+	for _, d := range docs {
+		if d.CPU != merged.CPU {
+			merged.CPU += " + " + d.CPU
+		}
+		remeasured := map[string]bool{}
+		for _, b := range d.Benchmarks {
+			remeasured[b.Name] = true
+		}
+		kept := merged.Benchmarks[:0:0]
+		for _, b := range merged.Benchmarks {
+			if !remeasured[b.Name] {
+				kept = append(kept, b)
+			}
+		}
+		merged.Benchmarks = append(kept, d.Benchmarks...)
+	}
+	return merged
+}
+
 func load(path string) (*Document, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -182,19 +212,24 @@ func load(path string) (*Document, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_5.json", "committed baseline document (bench2json format)")
+	baseline := flag.String("baseline", "BENCH_5.json", "committed baseline documents (bench2json format), comma-separated, successors last")
 	current := flag.String("current", "BENCH_guard.json", "fresh run to compare (bench2json format)")
 	tol := flag.Float64("tolerance", 0.20, "allowed fractional drift before failing")
 	bench := flag.String("bench",
-		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
+		"CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,ConfigGen20k,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
 		"comma-separated guarded benchmark names (bench2json names, no Benchmark prefix)")
 	flag.Parse()
 
-	base, err := load(*baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+	var baselines []*Document
+	for _, path := range strings.Split(*baseline, ",") {
+		d, err := load(strings.TrimSpace(path))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
+			os.Exit(1)
+		}
+		baselines = append(baselines, d)
 	}
+	base := mergeBaselines(baselines)
 	cur, err := load(*current)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)

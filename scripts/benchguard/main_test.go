@@ -162,3 +162,42 @@ func TestCompareNoBaselineWarnsButPasses(t *testing.T) {
 		t.Fatalf("results = %+v failed=%v, want passing no-baseline", results, failed)
 	}
 }
+
+// A successor baseline supersedes the entries it re-measured — all of
+// them, so an old faster sample cannot win the min — adds its new
+// benchmarks, and leaves the rest of the first baseline standing.
+func TestMergeBaselinesSuccessorSupersedes(t *testing.T) {
+	first := doc("xeon",
+		Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 900, BytesPerOp: 7304030, AllocsPerOp: 9600},
+		Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 800, BytesPerOp: 7304030, AllocsPerOp: 9600},
+		Benchmark{Name: "CheckWarmCache", NsPerOp: 1000})
+	successor := doc("xeon",
+		Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 1000, BytesPerOp: 750000, AllocsPerOp: 9500},
+		Benchmark{Name: "ConfigGen20k", NsPerOp: 5000, BytesPerOp: 100, AllocsPerOp: 10})
+	base := mergeBaselines([]*Document{first, successor})
+
+	if s := minSample(base, "MemAgentRoundTrip"); s.ns != 1000 || s.bytes != 750000 {
+		t.Errorf("re-measured benchmark kept old entries: %+v", s)
+	}
+	if !minSample(base, "ConfigGen20k").ok || minSample(base, "CheckWarmCache").ns != 1000 {
+		t.Errorf("merged baseline lost entries: %+v", base.Benchmarks)
+	}
+	// Back at the old 64 KB-per-datagram allocation: the first baseline
+	// alone would wave it through, the successor must not.
+	cur := doc("xeon", Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 1000, BytesPerOp: 7304030, AllocsPerOp: 9600})
+	results, failed, _ := compare(base, cur, []string{"MemAgentRoundTrip"}, 0.20)
+	if !failed || !strings.Contains(results[0].memNote, "B/op") {
+		t.Errorf("B/op regression against the successor not flagged: %+v", results)
+	}
+}
+
+func TestMergeBaselinesMixedHardwareSkips(t *testing.T) {
+	base := mergeBaselines([]*Document{
+		doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000}),
+		doc("epyc", Benchmark{Name: "ConfigGen20k", NsPerOp: 5000}),
+	})
+	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 5000})
+	if _, failed, skip := compare(base, cur, []string{"CheckWarmCache"}, 0.20); skip == "" || failed {
+		t.Errorf("baselines from two machines must skip, got failed=%v skip=%q", failed, skip)
+	}
+}
