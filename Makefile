@@ -25,18 +25,22 @@ MEGA_AGENTS ?= 1000
 # cache incremental re-check (bare, and with the change-contract
 # pre-gate on top), the paper-scale 10k-domain cold check (serial and
 # 1/8-worker parallel), the mega-fleet agent path (one in-memory
-# round-trip, and a 512-agent fleet install), and configuration
-# generation for 20,000 agents. On the round-trip the B/op comparison is
+# round-trip, and a 512-agent fleet install), configuration generation
+# for 20,000 agents, and the front end compiling the 1k- and 10k-domain
+# specification texts. On the round-trip the B/op comparison is
 # the point: a receive buffer allocated per datagram moves it tenfold.
 # A per-instance scan of the permission table allocates nothing extra,
 # so on the generation it is ns/op that holds the line here, and
 # TestGenerateLinear (`make linear`) on machines whose timings do not
-# compare with the baseline's.
-GUARDED_BENCH = ^(BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall|BenchmarkConfigGen20k)$$
+# compare with the baseline's. On the compiles B/op is again the point
+# (a token slice, or a copy of the items per pass, doubles it);
+# TestCompileLinear (`make linear`) and TestParseAllocBudget hold that
+# line on other machines.
+GUARDED_BENCH = ^(BenchmarkCompileDomains1000|BenchmarkCompileDomains10000|BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall|BenchmarkConfigGen20k)$$
 
 # The committed baselines bench-guard compares against, oldest first: a
 # successor supersedes the benchmarks it measured again.
-BENCH_BASELINES = BENCH_5.json,BENCH_14.json
+BENCH_BASELINES = BENCH_5.json,BENCH_14.json,BENCH_15.json
 
 # The §1-scale tier: the 100k-domain cold check and warm single-change
 # re-check, and the 25k-agent fleet install. Model construction alone
@@ -63,11 +67,14 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The linearity gate on its own, without the race detector's overhead in
-# the timings: configgen.Generate's cost per agent at 20,000 agents
-# within 4x of its cost at 2,000, both measured in the one run.
+# The linearity gates on their own, without the race detector's overhead
+# in the timings, each measuring both of its sizes in the one run:
+# configgen.Generate's cost per agent at 20,000 agents within 4x of its
+# cost at 2,000, and the compiler's time and bytes per source line at
+# 10,000 domains within 1.5x of those at 1,000.
 linear:
 	$(GO) test -run 'TestGenerateLinear' -count=1 -v ./internal/configgen
+	$(GO) test -run 'TestCompileLinear' -count=1 -v .
 
 ci: vet race linear chaos svc-smoke
 

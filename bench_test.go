@@ -336,9 +336,10 @@ func benchCompile(b *testing.B, domains int) {
 	}
 }
 
-func BenchmarkCompileDomains10(b *testing.B)   { benchCompile(b, 10) }
-func BenchmarkCompileDomains100(b *testing.B)  { benchCompile(b, 100) }
-func BenchmarkCompileDomains1000(b *testing.B) { benchCompile(b, 1000) }
+func BenchmarkCompileDomains10(b *testing.B)    { benchCompile(b, 10) }
+func BenchmarkCompileDomains100(b *testing.B)   { benchCompile(b, 100) }
+func BenchmarkCompileDomains1000(b *testing.B)  { benchCompile(b, 1000) }
+func BenchmarkCompileDomains10000(b *testing.B) { benchCompile(b, 10000) }
 
 // BenchmarkCompilePaperSpec compiles the paper's own figures, the
 // smallest realistic unit of work.

@@ -58,9 +58,8 @@ func transitiveClosure(edges map[string][]string) map[string]map[string]bool {
 	return reach
 }
 
-// closures is the per-model materialized containment state, built once
-// and shared read-only (the checker, the logic DB compiler and the
-// fingerprint encoder all consult it).
+// closures is the per-model materialized containment state the logic DB
+// compiler asserts as facts, built once and shared read-only.
 type closures struct {
 	// down is the contains_tr relation: down[x] holds every party
 	// transitively contained in x.
@@ -73,9 +72,6 @@ type closures struct {
 	// covers relation: domains, systems, instance ids, grantees and
 	// grantors. covers is reflexive over it.
 	universe []string
-	// partySorted caches Model.partyDomains as sorted slices, the
-	// deterministic form the fingerprint encoder hashes.
-	partySorted map[string][]string
 }
 
 // containmentEdges collects the direct contains/2 edges of the model:
@@ -102,10 +98,7 @@ func (m *Model) containmentEdges() map[string][]string {
 // computing it on first use. The result is immutable.
 func (m *Model) closures() *closures {
 	m.closOnce.Do(func() {
-		cl := &closures{
-			downSorted:  map[string][]string{},
-			partySorted: map[string][]string{},
-		}
+		cl := &closures{downSorted: map[string][]string{}}
 		edges := m.containmentEdges()
 		cl.down = transitiveClosure(edges)
 		for x, ys := range cl.down {
@@ -143,22 +136,26 @@ func (m *Model) closures() *closures {
 			cl.universe = append(cl.universe, x)
 		}
 		sort.Strings(cl.universe)
-
-		for id, set := range m.partyDomains {
-			doms := make([]string, 0, len(set))
-			for d := range set {
-				doms = append(doms, d)
-			}
-			sort.Strings(doms)
-			cl.partySorted[id] = doms
-		}
 		m.clos = cl
 	})
 	return m.clos
 }
 
 // sortedPartyDomains returns the cached, sorted list of domains
-// transitively containing the party.
+// transitively containing the party: the deterministic form the
+// fingerprint encoder hashes. It reads partyDomains alone, so a delta
+// check of a fresh model never pays for the closures above.
 func (m *Model) sortedPartyDomains(id string) []string {
-	return m.closures().partySorted[id]
+	m.partyOnce.Do(func() {
+		m.partySorted = make(map[string][]string, len(m.partyDomains))
+		for id, set := range m.partyDomains {
+			doms := make([]string, 0, len(set))
+			for d := range set {
+				doms = append(doms, d)
+			}
+			sort.Strings(doms)
+			m.partySorted[id] = doms
+		}
+	})
+	return m.partySorted[id]
 }

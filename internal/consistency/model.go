@@ -201,11 +201,15 @@ type Model struct {
 	bySystem     map[string][]*Instance
 	byID         map[string]*Instance
 
-	// closOnce/clos lazily materialize the containment closures shared by
-	// the logic DB compiler and the result-cache fingerprints
-	// (closures.go); the model itself is read-only after BuildModel.
+	// closOnce/clos lazily materialize the containment closures the
+	// logic DB compiler asserts (closures.go); the model itself is
+	// read-only after BuildModel.
 	closOnce sync.Once
 	clos     *closures
+	// partyOnce/partySorted lazily hold partyDomains as sorted slices
+	// for the result-cache fingerprints (sortedPartyDomains).
+	partyOnce   sync.Once
+	partySorted map[string][]string
 	// colsOnce/cols lazily build the columnar interned tables the hot
 	// check path runs over (columns.go); immutable once built.
 	colsOnce sync.Once

@@ -8,6 +8,19 @@ import (
 	"nmsl/internal/token"
 )
 
+// All scans the entire input and returns every token up to and including
+// the terminating EOF token.
+func (l *Lexer) All() []token.Token {
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func kinds(toks []token.Token) []token.Kind {
 	ks := make([]token.Kind, len(toks))
 	for i, t := range toks {
@@ -247,5 +260,78 @@ func TestLexerWordsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// builtString is how string literals were scanned before their text was
+// sliced out of the source: rune by rune into a builder.
+func builtString(src string) (text string, terminated bool) {
+	var b strings.Builder
+	for _, r := range src[1:] {
+		switch r {
+		case '\n':
+			return b.String(), false
+		case '"':
+			return b.String(), true
+		}
+		b.WriteRune(r)
+	}
+	return b.String(), false
+}
+
+// String literal text is a slice of the source, and says what the
+// builder said: for plain, non-ASCII, unterminated and ill-encoded
+// literals alike, with the diagnostics unchanged.
+func TestStringTextMatchesBuilder(t *testing.T) {
+	srcs := []string{
+		`"romano.cs.wisc.edu" rest`,
+		`""`,
+		`"`,
+		`"open`,
+		"\"open\nnext\"",
+		`"héllo wörld ☃" x`,
+		"\"bad \xff\xfe byte\" x",
+		"\"bad \xff unterminated",
+		"\"spelled \uFFFD out\"",
+		"\"truncated \xe2\x98\" x",
+	}
+	for _, src := range srcs {
+		l := New(src)
+		tok := l.Next()
+		want, terminated := builtString(src)
+		if tok.Text != want {
+			t.Errorf("%q: text %q, want %q", src, tok.Text, want)
+		}
+		if terminated {
+			if tok.Kind != token.STRING || len(l.Errors()) != 0 {
+				t.Errorf("%q: got %v, errors %v", src, tok, l.Errors())
+			}
+			continue
+		}
+		if tok.Kind != token.ILLEGAL || len(l.Errors()) != 1 ||
+			l.Errors()[0].Error() != "1:1: unterminated string literal" {
+			t.Errorf("%q: got %v, errors %v", src, tok, l.Errors())
+		}
+	}
+}
+
+// Token text aliases the source: scanning allocates nothing.
+func TestNextAllocatesNothing(t *testing.T) {
+	src := strings.Repeat(`process p ::= exports mgmt.mib to "public" access ReadOnly frequency >= 5 minutes; end process p.`+"\n", 50)
+	allocs := testing.AllocsPerRun(10, func() {
+		for l := New(src); l.Next().Kind != token.EOF; {
+		}
+	})
+	if allocs > 1 { // the Lexer itself
+		t.Errorf("scanning allocated %.0f times, want at most 1", allocs)
+	}
+}
+
+// scanIdent's single-byte test must agree with isIdentPart on all of ASCII.
+func TestASCIIIdentPartMatchesIdentPart(t *testing.T) {
+	for b := 0; b < 0x80; b++ {
+		if got, want := isASCIIIdentPart(byte(b)), isIdentPart(rune(b)); got != want {
+			t.Errorf("isASCIIIdentPart(%q) = %v, isIdentPart says %v", rune(b), got, want)
+		}
 	}
 }

@@ -15,27 +15,11 @@ import (
 // The seed corpus covers every declaration kind and the known tricky
 // token sequences (trailer periods, dotted names, version literals).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		paperspec.Figure42,
-		paperspec.Figure44,
-		paperspec.Figure46,
-		paperspec.Figure48,
-		"type t ::= SEQUENCE { a INTEGER }; access Any; end type t.",
-		"domain d ::= end domain d.",
-		"process p(A: Process) ::= queries A requests m frequency >= 5 minutes; end process p.",
-		"system s ::= cpu x; interface i net n speed 10 bps; opsys o version 4.0.1; end system s.",
-		"end end end .",
-		"a b ::= ; . ::=",
-		`x "unterminated`,
-		"process p ::= exports a to \"d\" access ReadOnly frequency >= 5 minutes; end process p.",
-		"-- just a comment",
-		"type t ::= OCTET STRING; end type t.",
-		"domain d ::= process p(*, *, 5, \"s\"); end domain d.",
-	}
-	for _, s := range seeds {
+	for _, s := range FuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		SameAsMaterialized(t, "fuzz", src)
 		file, _ := Parse("fuzz", src)
 		if file == nil {
 			return
@@ -47,4 +31,32 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSeeds is FuzzParse's seed corpus; the parity test walks it too.
+var FuzzSeeds = []string{
+	paperspec.Figure42,
+	paperspec.Figure44,
+	paperspec.Figure46,
+	paperspec.Figure48,
+	"type t ::= SEQUENCE { a INTEGER }; access Any; end type t.",
+	"domain d ::= end domain d.",
+	"process p(A: Process) ::= queries A requests m frequency >= 5 minutes; end process p.",
+	"system s ::= cpu x; interface i net n speed 10 bps; opsys o version 4.0.1; end system s.",
+	"end end end .",
+	"a b ::= ; . ::=",
+	`x "unterminated`,
+	"process p ::= exports a to \"d\" access ReadOnly frequency >= 5 minutes; end process p.",
+	"-- just a comment",
+	"type t ::= OCTET STRING; end type t.",
+	"domain d ::= process p(*, *, 5, \"s\"); end domain d.",
+	// where the streaming parser departs from the materialized one:
+	// names with space or comments around their dots, trailers cut
+	// short, lexical errors after syntax errors, ill-encoded strings
+	"domain a . b ::= system x . y -- c\n . z; end domain a . b.",
+	"domain a.b.c ::= end domain a.b.c.d.",
+	"domain a.b ::= end domain a.",
+	"type t ::= x @ ; end type u. \"open",
+	"process p ::= exports \"a\xffb\" 99999999999999999999 4.0.1 1.5; end process p.",
+	"process p(a.b, c: D; (x {y})) ::= k (a (b) {c;}) ( ; end process",
 }

@@ -197,24 +197,34 @@ func (l ErrorList) Err() error {
 	return l
 }
 
+// parser pulls tokens from the lexer as the grammar consumes them. A
+// two-token window is all Figure 6.1 needs: the one lookahead is the
+// IDENT after a "." (dotted names) and the ":" after a parameter name.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lx   *lexer.Lexer
+	src  string
+	cur  token.Token
+	peek token.Token
 	errs ErrorList
+	// stack holds the items of the clauses and groups being parsed,
+	// innermost last, so that each finished Items slice is allocated
+	// once at its final length.
+	stack []Item
 }
 
 // Parse parses src as an NMSL specification. name is used in diagnostics
-// only. It returns the File together with any syntax errors; the File
-// contains every declaration that could be recovered.
+// only. It returns the File together with any syntax errors, lexical
+// errors first; the File contains every declaration that could be
+// recovered.
+//
+// Token text, item text and names are slices of src, not copies: the
+// File keeps src alive, and nothing may mutate either.
 func Parse(name, src string) (*File, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	p := &parser{toks: toks}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
-	}
+	p := &parser{lx: lexer.New(src), src: src}
+	p.cur = p.lx.Next()
+	p.peek = p.lx.Next()
 	file := &File{Name: name}
-	for p.cur().Kind != token.EOF {
+	for p.cur.Kind != token.EOF {
 		d := p.parseDecl()
 		if d != nil {
 			file.Decls = append(file.Decls, d)
@@ -222,21 +232,22 @@ func Parse(name, src string) (*File, error) {
 			p.recoverToNextDecl()
 		}
 	}
-	return file, p.errs.Err()
-}
-
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+	lexErrs := p.lx.Errors()
+	if len(lexErrs) == 0 {
+		return file, p.errs.Err()
 	}
-	return p.toks[len(p.toks)-1]
+	errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	return file, append(errs, p.errs...)
 }
 
+// advance consumes and returns the current token; EOF is never consumed.
 func (p *parser) advance() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.cur
+	if t.Kind != token.EOF {
+		p.cur, p.peek = p.peek, p.lx.Next()
 	}
 	return t
 }
@@ -260,56 +271,67 @@ func (p *parser) recoverToNextDecl() {
 	}
 }
 
+// dottedName consumes the dotted segments following first, an IDENT
+// already consumed, up to max segments in all (max <= 0: no limit), and
+// returns the whole name. Segments written without space between them,
+// as they always are, come back as one slice of the source.
+func (p *parser) dottedName(first token.Token, max int) string {
+	name := first.Text
+	start, end := first.Pos.Offset, first.Pos.Offset+len(first.Text)
+	for n := 1; (max <= 0 || n < max) && p.cur.Kind == token.PERIOD && p.peek.Kind == token.IDENT; n++ {
+		dot := p.advance()
+		seg := p.advance()
+		if end >= 0 && dot.Pos.Offset == end && seg.Pos.Offset == end+1 {
+			end += 1 + len(seg.Text)
+			name = p.src[start:end]
+			continue
+		}
+		end = -1 // space or a comment inside the name: build it
+		name += "." + seg.Text
+	}
+	return name
+}
+
 // parseName parses a declaration or member name: a STRING, or an IDENT
 // optionally extended by dotted segments (cs.wisc.edu appears unquoted as
 // a domain member in Figure 4.8).
 func (p *parser) parseName() (name string, quoted bool, ok bool) {
-	t := p.cur()
+	t := p.cur
 	switch t.Kind {
 	case token.STRING:
 		p.advance()
 		return t.Text, true, true
 	case token.IDENT:
 		p.advance()
-		parts := []string{t.Text}
-		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			parts = append(parts, p.advance().Text)
-		}
-		return strings.Join(parts, "."), false, true
+		return p.dottedName(t, 0), false, true
 	default:
 		p.errorf(t.Pos, "expected declaration name, found %s", t)
 		return "", false, false
 	}
 }
 
-// parseTrailerName parses the declaration name in a trailer. Unlike
-// parseName it must not treat the declaration-terminating "." as a
-// dotted-name connector, so for unquoted names it consumes at most as many
-// dotted segments as the header name has.
-func (p *parser) parseTrailerName(header string) (string, bool) {
-	t := p.cur()
+// parseTrailerName parses the declaration name in a trailer, after
+// "end declType". Unlike parseName it must not treat the
+// declaration-terminating "." as a dotted-name connector, so for unquoted
+// names it consumes at most as many dotted segments as the header name
+// has.
+func (p *parser) parseTrailerName(declType, header string) (string, bool) {
+	t := p.cur
 	switch t.Kind {
 	case token.STRING:
 		p.advance()
 		return t.Text, true
 	case token.IDENT:
 		p.advance()
-		parts := []string{t.Text}
-		want := strings.Count(header, ".") + 1
-		for len(parts) < want && p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			parts = append(parts, p.advance().Text)
-		}
-		return strings.Join(parts, "."), true
+		return p.dottedName(t, strings.Count(header, ".")+1), true
 	default:
-		p.errorf(t.Pos, "expected declaration name after \"end %s\", found %s", p.toks[p.pos-1].Text, t)
+		p.errorf(t.Pos, "expected declaration name after \"end %s\", found %s", declType, t)
 		return "", false
 	}
 }
 
 func (p *parser) parseDecl() *Decl {
-	start := p.cur()
+	start := p.cur
 	if start.Kind != token.IDENT {
 		p.errorf(start.Pos, "expected declaration type keyword, found %s", start)
 		return nil
@@ -323,12 +345,12 @@ func (p *parser) parseDecl() *Decl {
 	}
 	d.Name, d.Quoted = name, quoted
 
-	if p.cur().Kind == token.LPAREN {
+	if p.cur.Kind == token.LPAREN {
 		d.Params = p.parseParams()
 	}
 
-	if p.cur().Kind != token.DEFINE {
-		p.errorf(p.cur().Pos, "expected \"::=\" after declaration header, found %s", p.cur())
+	if p.cur.Kind != token.DEFINE {
+		p.errorf(p.cur.Pos, "expected \"::=\" after declaration header, found %s", p.cur)
 		return nil
 	}
 	p.advance()
@@ -336,7 +358,7 @@ func (p *parser) parseDecl() *Decl {
 	// Clause body: clauses until the word "end" appears at clause-start
 	// position.
 	for {
-		t := p.cur()
+		t := p.cur
 		if t.Kind == token.EOF {
 			p.errorf(t.Pos, "unexpected end of input in %s %s (missing \"end %s %s.\")", d.Type, d.Name, d.Type, d.Name)
 			return d
@@ -344,16 +366,13 @@ func (p *parser) parseDecl() *Decl {
 		if t.Is("end") {
 			break
 		}
-		c := p.parseClause()
-		if c != nil {
-			d.Clauses = append(d.Clauses, c)
-		}
+		d.Clauses = append(d.Clauses, p.parseClause())
 	}
 
 	// Trailer: end decltype declname "."
 	endTok := p.advance() // "end"
 	d.End = endTok.Pos
-	tt := p.cur()
+	tt := p.cur
 	if tt.Kind != token.IDENT {
 		p.errorf(tt.Pos, "expected declaration type after \"end\", found %s", tt)
 		return d
@@ -362,15 +381,15 @@ func (p *parser) parseDecl() *Decl {
 		p.errorf(tt.Pos, "declaration trailer type %q does not match header type %q", tt.Text, d.Type)
 	}
 	p.advance()
-	endName, ok := p.parseTrailerName(d.Name)
+	endName, ok := p.parseTrailerName(tt.Text, d.Name)
 	if !ok {
 		return d
 	}
 	if endName != d.Name {
 		p.errorf(tt.Pos, "declaration trailer name %q does not match header name %q", endName, d.Name)
 	}
-	if p.cur().Kind != token.PERIOD {
-		p.errorf(p.cur().Pos, "expected \".\" to terminate %s %s, found %s", d.Type, d.Name, p.cur())
+	if p.cur.Kind != token.PERIOD {
+		p.errorf(p.cur.Pos, "expected \".\" to terminate %s %s, found %s", d.Type, d.Name, p.cur)
 		return d
 	}
 	p.advance()
@@ -386,7 +405,7 @@ func (p *parser) parseParams() []Param {
 	p.advance() // '('
 	var params []Param
 	for {
-		t := p.cur()
+		t := p.cur
 		if t.Kind == token.RPAREN {
 			p.advance()
 			return params
@@ -399,10 +418,10 @@ func (p *parser) parseParams() []Param {
 			p.advance()
 			continue
 		}
-		if t.Kind == token.IDENT && p.peek().Kind == token.COLON {
+		if t.Kind == token.IDENT && p.peek.Kind == token.COLON {
 			name := p.advance().Text
 			p.advance() // ':'
-			tt := p.cur()
+			tt := p.cur
 			if tt.Kind != token.IDENT {
 				p.errorf(tt.Pos, "expected type name after %q:, found %s", name, tt)
 				p.advance()
@@ -412,94 +431,107 @@ func (p *parser) parseParams() []Param {
 			params = append(params, Param{Name: name, Type: tt.Text, Pos: t.Pos})
 			continue
 		}
-		it := p.parseItem()
-		if it == nil {
+		it, ok := p.parseItem()
+		if !ok {
 			p.advance()
 			continue
 		}
-		params = append(params, Param{Value: it, Pos: t.Pos})
+		params = append(params, Param{Value: &it, Pos: t.Pos})
 	}
+}
+
+// popItems takes the items pushed since mark off the stack, as a slice
+// of its own; nil when there are none.
+func (p *parser) popItems(mark int) []Item {
+	var items []Item
+	if n := len(p.stack) - mark; n > 0 {
+		items = make([]Item, n)
+		copy(items, p.stack[mark:])
+	}
+	clear(p.stack[mark:]) // the stack outlives the clause; hold no group alive through it
+	p.stack = p.stack[:mark]
+	return items
 }
 
 // parseClause parses items until the terminating ";". Inside a clause,
 // PERIOD always joins dotted names (declaration-terminating periods only
 // occur after the trailer's "end").
 func (p *parser) parseClause() *Clause {
-	c := &Clause{Pos: p.cur().Pos}
+	c := &Clause{Pos: p.cur.Pos}
+	mark := len(p.stack)
+items:
 	for {
-		t := p.cur()
+		t := p.cur
 		switch t.Kind {
 		case token.SEMI:
 			p.advance()
-			return c
+			break items
 		case token.EOF:
 			p.errorf(t.Pos, "unterminated clause (missing \";\")")
-			return c
+			break items
 		case token.PERIOD:
 			// A stray period inside a clause is an error; most likely a
 			// missing semicolon before a declaration trailer.
 			p.errorf(t.Pos, "unexpected \".\" inside clause (missing \";\"?)")
 			p.advance()
-			return c
+			break items
 		}
-		if t.Is("end") && len(c.Items) > 0 {
+		if t.Is("end") && len(p.stack) > mark {
 			// Defensive: missing ";" before trailer. Report and stop the
 			// clause so the declaration trailer can still be parsed.
 			p.errorf(t.Pos, "missing \";\" before \"end\"")
-			return c
+			break items
 		}
-		it := p.parseItem()
-		if it == nil {
+		if it, ok := p.parseItem(); ok {
+			p.stack = append(p.stack, it)
+		} else {
 			p.advance()
-			continue
 		}
-		c.Items = append(c.Items, *it)
 	}
+	c.Items = p.popItems(mark)
+	return c
 }
 
-func (p *parser) parseItem() *Item {
-	t := p.cur()
+// parseItem parses one item; ok is false, with an error recorded and no
+// token consumed, when the current token cannot start one.
+func (p *parser) parseItem() (it Item, ok bool) {
+	t := p.cur
 	switch t.Kind {
 	case token.IDENT:
 		p.advance()
-		text := t.Text
-		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
-			p.advance()
-			text += "." + p.advance().Text
-		}
-		return &Item{Kind: Word, Text: text, Pos: t.Pos}
+		return Item{Kind: Word, Text: p.dottedName(t, 0), Pos: t.Pos}, true
 	case token.STRING:
 		p.advance()
-		return &Item{Kind: Str, Text: t.Text, Pos: t.Pos}
+		return Item{Kind: Str, Text: t.Text, Pos: t.Pos}, true
 	case token.INT:
 		p.advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			p.errorf(t.Pos, "integer literal %q out of range", t.Text)
 		}
-		return &Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}
+		return Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}, true
 	case token.FLOAT:
 		p.advance()
-		it := &Item{Kind: Float, Text: t.Text, Pos: t.Pos}
+		it := Item{Kind: Float, Text: t.Text, Pos: t.Pos}
 		if v, err := strconv.ParseFloat(t.Text, 64); err == nil {
 			it.FloatVal = v
 		}
-		return it
+		return it, true
 	case token.STAR:
 		p.advance()
-		return &Item{Kind: Star, Text: "*", Pos: t.Pos}
+		return Item{Kind: Star, Text: "*", Pos: t.Pos}, true
 	case token.LT, token.LE, token.GT, token.GE, token.ASSIGN, token.COLON, token.COMMA:
 		p.advance()
-		return &Item{Kind: Op, Text: t.Text, Pos: t.Pos}
+		return Item{Kind: Op, Text: t.Text, Pos: t.Pos}, true
 	case token.LPAREN, token.LBRACE:
-		return p.parseGroup()
+		return p.parseGroup(), true
 	default:
 		p.errorf(t.Pos, "unexpected %s in clause", t)
-		return nil
+		return Item{}, false
 	}
 }
 
-func (p *parser) parseGroup() *Item {
+func (p *parser) parseGroup() Item {
 	open := p.advance()
 	delim := byte('(')
 	closeKind := token.RPAREN
@@ -507,27 +539,27 @@ func (p *parser) parseGroup() *Item {
 		delim = '{'
 		closeKind = token.RBRACE
 	}
-	g := &Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	mark := len(p.stack)
+items:
 	for {
-		t := p.cur()
-		if t.Kind == closeKind {
+		t := p.cur
+		switch t.Kind {
+		case closeKind:
 			p.advance()
-			return g
-		}
-		if t.Kind == token.EOF {
+			break items
+		case token.EOF:
 			p.errorf(open.Pos, "unterminated %q group", string(delim))
-			return g
-		}
-		// Inside ASN.1 groups a ';' can appear (defensively skip it).
-		if t.Kind == token.SEMI {
+			break items
+		case token.SEMI:
+			// Inside ASN.1 groups a ';' can appear (defensively skip it).
 			p.advance()
 			continue
 		}
-		it := p.parseItem()
-		if it == nil {
+		if it, ok := p.parseItem(); ok {
+			p.stack = append(p.stack, it)
+		} else {
 			p.advance()
-			continue
 		}
-		g.Items = append(g.Items, *it)
 	}
+	return Item{Kind: Group, Delim: delim, Items: p.popItems(mark), Pos: open.Pos}
 }

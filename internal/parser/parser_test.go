@@ -1,11 +1,16 @@
 package parser
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"nmsl/internal/lexer"
 	"nmsl/internal/paperspec"
+	"nmsl/internal/token"
 )
 
 func mustParse(t *testing.T, src string) *File {
@@ -329,5 +334,396 @@ func TestParseDeclNameRoundTrip(t *testing.T) {
 		if f.Decls[0].Name != n {
 			t.Errorf("name %q parsed as %q", n, f.Decls[0].Name)
 		}
+	}
+}
+
+// SameAsMaterialized fails t unless Parse and parseMaterialized agree on
+// src: deeply equal files, and the same errors in the same order. It is
+// exported to the corpus test in package parser_test, which may import
+// the packages that import this one.
+func SameAsMaterialized(t testing.TB, name, src string) {
+	t.Helper()
+	got, gotErr := Parse(name, src)
+	want, wantErr := parseMaterialized(name, src)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: streaming and materialized parses differ:\n got %s\nwant %s", name, renderFile(got), renderFile(want))
+	}
+	if g, w := errorStrings(gotErr), errorStrings(wantErr); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: errors differ:\n got %q\nwant %q", name, g, w)
+	}
+}
+
+func errorStrings(err error) []string {
+	if err == nil {
+		return nil
+	}
+	list, ok := err.(ErrorList)
+	if !ok {
+		return []string{"not an ErrorList: " + err.Error()}
+	}
+	out := make([]string, len(list))
+	for i, e := range list {
+		out[i] = e.Error()
+	}
+	return out
+}
+
+func renderFile(f *File) string {
+	var b strings.Builder
+	for _, d := range f.Decls {
+		fmt.Fprintf(&b, "%s %q quoted=%v params=%d @%v end@%v\n", d.Type, d.Name, d.Quoted, len(d.Params), d.Pos, d.End)
+		for _, c := range d.Clauses {
+			fmt.Fprintf(&b, "\t@%v %s\n", c.Pos, c)
+		}
+	}
+	return b.String()
+}
+
+func TestStreamingParseMatchesMaterializedSeeds(t *testing.T) {
+	for i, src := range FuzzSeeds {
+		SameAsMaterialized(t, fmt.Sprintf("seed %d", i), src)
+	}
+}
+
+type matParser struct {
+	toks []token.Token
+	pos  int
+	errs ErrorList
+}
+
+// parseMaterialized is Parse as it was before it streamed: every token
+// scanned into a slice first, every Item allocated on its own and copied
+// into its clause, every dotted name concatenated. Kept word for word as
+// the oracle the streaming parser is compared with.
+func parseMaterialized(name, src string) (*File, error) {
+	lx := lexer.New(src)
+	var toks []token.Token
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			break
+		}
+	}
+	p := &matParser{toks: toks}
+	for _, le := range lx.Errors() {
+		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	file := &File{Name: name}
+	for p.cur().Kind != token.EOF {
+		d := p.parseDecl()
+		if d != nil {
+			file.Decls = append(file.Decls, d)
+		} else {
+			p.recoverToNextDecl()
+		}
+	}
+	return file, p.errs.Err()
+}
+
+func (p *matParser) cur() token.Token { return p.toks[p.pos] }
+func (p *matParser) peek() token.Token {
+	if p.pos+1 < len(p.toks) {
+		return p.toks[p.pos+1]
+	}
+	return p.toks[len(p.toks)-1]
+}
+
+func (p *matParser) advance() token.Token {
+	t := p.toks[p.pos]
+	if p.pos < len(p.toks)-1 {
+		p.pos++
+	}
+	return t
+}
+
+func (p *matParser) errorf(pos token.Pos, format string, args ...any) {
+	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// recoverToNextDecl skips tokens until just after a PERIOD that plausibly
+// terminates a declaration, so that one malformed declaration does not
+// cascade.
+func (p *matParser) recoverToNextDecl() {
+	for {
+		t := p.advance()
+		if t.Kind == token.EOF {
+			return
+		}
+		if t.Kind == token.PERIOD {
+			return
+		}
+	}
+}
+
+// parseName parses a declaration or member name: a STRING, or an IDENT
+// optionally extended by dotted segments (cs.wisc.edu appears unquoted as
+// a domain member in Figure 4.8).
+func (p *matParser) parseName() (name string, quoted bool, ok bool) {
+	t := p.cur()
+	switch t.Kind {
+	case token.STRING:
+		p.advance()
+		return t.Text, true, true
+	case token.IDENT:
+		p.advance()
+		parts := []string{t.Text}
+		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
+			p.advance()
+			parts = append(parts, p.advance().Text)
+		}
+		return strings.Join(parts, "."), false, true
+	default:
+		p.errorf(t.Pos, "expected declaration name, found %s", t)
+		return "", false, false
+	}
+}
+
+// parseTrailerName parses the declaration name in a trailer. Unlike
+// parseName it must not treat the declaration-terminating "." as a
+// dotted-name connector, so for unquoted names it consumes at most as many
+// dotted segments as the header name has.
+func (p *matParser) parseTrailerName(header string) (string, bool) {
+	t := p.cur()
+	switch t.Kind {
+	case token.STRING:
+		p.advance()
+		return t.Text, true
+	case token.IDENT:
+		p.advance()
+		parts := []string{t.Text}
+		want := strings.Count(header, ".") + 1
+		for len(parts) < want && p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
+			p.advance()
+			parts = append(parts, p.advance().Text)
+		}
+		return strings.Join(parts, "."), true
+	default:
+		p.errorf(t.Pos, "expected declaration name after \"end %s\", found %s", p.toks[p.pos-1].Text, t)
+		return "", false
+	}
+}
+
+func (p *matParser) parseDecl() *Decl {
+	start := p.cur()
+	if start.Kind != token.IDENT {
+		p.errorf(start.Pos, "expected declaration type keyword, found %s", start)
+		return nil
+	}
+	d := &Decl{Type: start.Text, Pos: start.Pos}
+	p.advance()
+
+	name, quoted, ok := p.parseName()
+	if !ok {
+		return nil
+	}
+	d.Name, d.Quoted = name, quoted
+
+	if p.cur().Kind == token.LPAREN {
+		d.Params = p.parseParams()
+	}
+
+	if p.cur().Kind != token.DEFINE {
+		p.errorf(p.cur().Pos, "expected \"::=\" after declaration header, found %s", p.cur())
+		return nil
+	}
+	p.advance()
+
+	// Clause body: clauses until the word "end" appears at clause-start
+	// position.
+	for {
+		t := p.cur()
+		if t.Kind == token.EOF {
+			p.errorf(t.Pos, "unexpected end of input in %s %s (missing \"end %s %s.\")", d.Type, d.Name, d.Type, d.Name)
+			return d
+		}
+		if t.Is("end") {
+			break
+		}
+		c := p.parseClause()
+		if c != nil {
+			d.Clauses = append(d.Clauses, c)
+		}
+	}
+
+	// Trailer: end decltype declname "."
+	endTok := p.advance() // "end"
+	d.End = endTok.Pos
+	tt := p.cur()
+	if tt.Kind != token.IDENT {
+		p.errorf(tt.Pos, "expected declaration type after \"end\", found %s", tt)
+		return d
+	}
+	if tt.Text != d.Type {
+		p.errorf(tt.Pos, "declaration trailer type %q does not match header type %q", tt.Text, d.Type)
+	}
+	p.advance()
+	endName, ok := p.parseTrailerName(d.Name)
+	if !ok {
+		return d
+	}
+	if endName != d.Name {
+		p.errorf(tt.Pos, "declaration trailer name %q does not match header name %q", endName, d.Name)
+	}
+	if p.cur().Kind != token.PERIOD {
+		p.errorf(p.cur().Pos, "expected \".\" to terminate %s %s, found %s", d.Type, d.Name, p.cur())
+		return d
+	}
+	p.advance()
+	return d
+}
+
+// parseParams parses "(" param ("," | ";") param ... ")". The paper's
+// grammar (Figure 4.3) separates parameters with "," but its example
+// (Figure 4.4) uses ";"; both are accepted. A formal parameter is
+// "Name : Type"; a value parameter is any single item (Figure 4.8 uses
+// "*" placeholders at instantiation).
+func (p *matParser) parseParams() []Param {
+	p.advance() // '('
+	var params []Param
+	for {
+		t := p.cur()
+		if t.Kind == token.RPAREN {
+			p.advance()
+			return params
+		}
+		if t.Kind == token.EOF {
+			p.errorf(t.Pos, "unterminated parameter list")
+			return params
+		}
+		if t.Kind == token.COMMA || t.Kind == token.SEMI {
+			p.advance()
+			continue
+		}
+		if t.Kind == token.IDENT && p.peek().Kind == token.COLON {
+			name := p.advance().Text
+			p.advance() // ':'
+			tt := p.cur()
+			if tt.Kind != token.IDENT {
+				p.errorf(tt.Pos, "expected type name after %q:, found %s", name, tt)
+				p.advance()
+				continue
+			}
+			p.advance()
+			params = append(params, Param{Name: name, Type: tt.Text, Pos: t.Pos})
+			continue
+		}
+		it := p.parseItem()
+		if it == nil {
+			p.advance()
+			continue
+		}
+		params = append(params, Param{Value: it, Pos: t.Pos})
+	}
+}
+
+// parseClause parses items until the terminating ";". Inside a clause,
+// PERIOD always joins dotted names (declaration-terminating periods only
+// occur after the trailer's "end").
+func (p *matParser) parseClause() *Clause {
+	c := &Clause{Pos: p.cur().Pos}
+	for {
+		t := p.cur()
+		switch t.Kind {
+		case token.SEMI:
+			p.advance()
+			return c
+		case token.EOF:
+			p.errorf(t.Pos, "unterminated clause (missing \";\")")
+			return c
+		case token.PERIOD:
+			// A stray period inside a clause is an error; most likely a
+			// missing semicolon before a declaration trailer.
+			p.errorf(t.Pos, "unexpected \".\" inside clause (missing \";\"?)")
+			p.advance()
+			return c
+		}
+		if t.Is("end") && len(c.Items) > 0 {
+			// Defensive: missing ";" before trailer. Report and stop the
+			// clause so the declaration trailer can still be parsed.
+			p.errorf(t.Pos, "missing \";\" before \"end\"")
+			return c
+		}
+		it := p.parseItem()
+		if it == nil {
+			p.advance()
+			continue
+		}
+		c.Items = append(c.Items, *it)
+	}
+}
+
+func (p *matParser) parseItem() *Item {
+	t := p.cur()
+	switch t.Kind {
+	case token.IDENT:
+		p.advance()
+		text := t.Text
+		for p.cur().Kind == token.PERIOD && p.peek().Kind == token.IDENT {
+			p.advance()
+			text += "." + p.advance().Text
+		}
+		return &Item{Kind: Word, Text: text, Pos: t.Pos}
+	case token.STRING:
+		p.advance()
+		return &Item{Kind: Str, Text: t.Text, Pos: t.Pos}
+	case token.INT:
+		p.advance()
+		v, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
+			p.errorf(t.Pos, "integer literal %q out of range", t.Text)
+		}
+		return &Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}
+	case token.FLOAT:
+		p.advance()
+		it := &Item{Kind: Float, Text: t.Text, Pos: t.Pos}
+		if v, err := strconv.ParseFloat(t.Text, 64); err == nil {
+			it.FloatVal = v
+		}
+		return it
+	case token.STAR:
+		p.advance()
+		return &Item{Kind: Star, Text: "*", Pos: t.Pos}
+	case token.LT, token.LE, token.GT, token.GE, token.ASSIGN, token.COLON, token.COMMA:
+		p.advance()
+		return &Item{Kind: Op, Text: t.Text, Pos: t.Pos}
+	case token.LPAREN, token.LBRACE:
+		return p.parseGroup()
+	default:
+		p.errorf(t.Pos, "unexpected %s in clause", t)
+		return nil
+	}
+}
+
+func (p *matParser) parseGroup() *Item {
+	open := p.advance()
+	delim := byte('(')
+	closeKind := token.RPAREN
+	if open.Kind == token.LBRACE {
+		delim = '{'
+		closeKind = token.RBRACE
+	}
+	g := &Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	for {
+		t := p.cur()
+		if t.Kind == closeKind {
+			p.advance()
+			return g
+		}
+		if t.Kind == token.EOF {
+			p.errorf(open.Pos, "unterminated %q group", string(delim))
+			return g
+		}
+		// Inside ASN.1 groups a ';' can appear (defensively skip it).
+		if t.Kind == token.SEMI {
+			p.advance()
+			continue
+		}
+		it := p.parseItem()
+		if it == nil {
+			p.advance()
+			continue
+		}
+		g.Items = append(g.Items, *it)
 	}
 }

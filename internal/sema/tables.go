@@ -43,23 +43,41 @@ type Subclause struct {
 // Word item that is in subKeywords. The clause's own leading keyword
 // starts the first subclause. This is the pass-2 differentiation the
 // paper defers out of the generalized grammar.
+//
+// A subclause's arguments lie together in the clause, so Items is a
+// slice of c.Items, not a copy, capped at its own length: an action that
+// appends to it gets a copy and cannot reach the next subclause. Actions
+// must not assign to its elements.
 func SplitClause(c *parser.Clause, subKeywords map[string]bool) []Subclause {
-	var subs []Subclause
-	cur := -1
-	for i, it := range c.Items {
-		isKw := it.Kind == parser.Word && (i == 0 || subKeywords[it.Text])
-		if isKw {
-			subs = append(subs, Subclause{Keyword: it.Text, Pos: it.Pos})
-			cur = len(subs) - 1
-			continue
+	items := c.Items
+	if len(items) == 0 {
+		return nil
+	}
+	// Where each subclause starts: at its keyword or, for a clause that
+	// does not begin with a word, at the first item of the anonymous
+	// subclause that collects what precedes the first keyword.
+	var buf [8]int
+	starts := append(buf[:0], 0)
+	for i := 1; i < len(items); i++ {
+		if items[i].Kind == parser.Word && subKeywords[items[i].Text] {
+			starts = append(starts, i)
 		}
-		if cur < 0 {
-			// clause does not begin with a word; collect under an
-			// anonymous subclause
-			subs = append(subs, Subclause{Pos: it.Pos})
-			cur = 0
+	}
+	subs := make([]Subclause, len(starts))
+	for n, at := range starts {
+		sub := &subs[n]
+		sub.Pos = items[at].Pos
+		if items[at].Kind == parser.Word {
+			sub.Keyword = items[at].Text
+			at++
 		}
-		subs[cur].Items = append(subs[cur].Items, it)
+		end := len(items)
+		if n+1 < len(starts) {
+			end = starts[n+1]
+		}
+		if end > at {
+			sub.Items = items[at:end:end]
+		}
 	}
 	return subs
 }

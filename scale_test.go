@@ -2,6 +2,8 @@ package nmsl
 
 import (
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,4 +51,48 @@ func TestScaleCheck100kSmoke(t *testing.T) {
 	t.Logf("100k domains: %d instances, %d refs; compile+build %v, cold check %v, warm delta %v",
 		len(m.Instances), len(m.Refs), buildD.Round(time.Millisecond),
 		coldD.Round(time.Millisecond), warmD.Round(time.Millisecond))
+}
+
+// TestCompileLinear is the front end's linearity gate: compiling the
+// 10,000-domain internet costs, per source line, at most 1.5x the time
+// and 1.5x the bytes the 1,000-domain one does. Both sizes are measured
+// in this one run, best of three, so the ratios carry across machines
+// (`make linear`).
+func TestCompileLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 10,000-domain specification three times")
+	}
+	perLine := func(domains int) (ns, bytes float64) {
+		src := netsim.Source(netsim.Params{Domains: domains, SystemsPerDomain: 2, Seed: 1})
+		lines := float64(strings.Count(src, "\n"))
+		best := time.Duration(1<<63 - 1)
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			spec := compileSource(t, "linear.nmsl", src)
+			d := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if want := 3 * domains; len(spec.Model().Instances) != want {
+				t.Fatalf("%d domains compiled to %d instances, want %d", domains, len(spec.Model().Instances), want)
+			}
+			if d < best {
+				best = d
+			}
+			// What a compile allocates does not vary from run to run.
+			bytes = float64(after.TotalAlloc-before.TotalAlloc) / lines
+		}
+		return float64(best.Nanoseconds()) / lines, bytes
+	}
+	ns1k, b1k := perLine(1000)
+	ns10k, b10k := perLine(10000)
+	t.Logf("compile: %.0f ns/line, %.0f B/line at 1,000 domains; %.0f ns/line, %.0f B/line at 10,000 (%.2fx, %.2fx)",
+		ns1k, b1k, ns10k, b10k, ns10k/ns1k, b10k/b1k)
+	if ns10k > 1.5*ns1k {
+		t.Errorf("compile time is not linear: %.0f ns/line at 10,000 domains vs %.0f at 1,000 (%.2fx, want <= 1.5x)", ns10k, ns1k, ns10k/ns1k)
+	}
+	if b10k > 1.5*b1k {
+		t.Errorf("compile allocation is not linear: %.0f B/line at 10,000 domains vs %.0f at 1,000 (%.2fx, want <= 1.5x)", b10k, b1k, b10k/b1k)
+	}
 }
