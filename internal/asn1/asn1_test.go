@@ -187,3 +187,16 @@ func TestStringRoundTripSequence(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
+
+// TestDeepTypeBody: a type body nested a million deep is a parse error,
+// and what the parser recovers of it is shallow enough to walk.
+func TestDeepTypeBody(t *testing.T) {
+	src := "type t ::= SEQUENCE " + strings.Repeat("{", 1_000_000) + " a INTEGER " + strings.Repeat("}", 1_000_000) + "; end type t."
+	f, err := parser.Parse("deep", src)
+	if err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000") {
+		t.Fatalf("parse error = %.200v, want the nesting diagnostic", err)
+	}
+	if _, err := ParseItems(f.Decls[0].Clauses[0].Items); err == nil {
+		t.Error("a SEQUENCE of a thousand nested braces parsed as a type")
+	}
+}

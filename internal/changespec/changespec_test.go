@@ -96,12 +96,13 @@ func TestParseErrors(t *testing.T) {
 		{"max arity", "contract c ::= max added instances; end contract c.", "max clause wants"},
 		{"max non-int", "contract c ::= max added instances lots; end contract c.", "max clause wants"},
 		{"duplicate max", "contract c ::= max added instances 1; max added instances 2; end contract c.", "duplicate max"},
+		{"deep nesting", "contract c ::= scope " + strings.Repeat("(", 1_000_000) + "; end contract c.", "nesting deeper than 1000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse("bad.ncs", tc.src)
 			if err == nil {
-				t.Fatalf("no error for %q", tc.src)
+				t.Fatalf("no error for %.80q", tc.src)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)

@@ -74,31 +74,12 @@ func InstallLive(addr, adminCommunity string, cfg *snmp.Config) error {
 	return client.InstallConfig(cfg)
 }
 
-// InstallLiveContext is InstallLive as a single attempt under a context:
-// the client does not retransmit on its own (retries belong to the
-// rollout layer, which spaces attempts with backoff and counts them),
-// and timeout bounds the wait for the agent's acknowledgment (zero keeps
-// the client default).
-func InstallLiveContext(ctx context.Context, addr, adminCommunity string, cfg *snmp.Config, timeout time.Duration) error {
-	client, err := snmp.Dial(addr, adminCommunity)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	client.SetRetries(0)
-	if timeout > 0 {
-		client.SetTimeout(timeout)
-	}
-	return client.InstallConfigContext(ctx, cfg)
-}
-
 // FetchLiveContext retrieves an agent's current configuration over the
 // management protocol — the read half of the live install path. The
-// transactional rollout uses it to capture a pre-image before replacing
-// a configuration; the drift reconciler uses it to compare a live
-// agent's digest against the model's. timeout bounds each attempt's wait
-// (zero keeps the client default); retries is how many times a timed-out
-// fetch is retransmitted.
+// drift reconciler uses it to compare a live agent's digest against the
+// model's (a rollout reads pre-images on its target's own session, see
+// target.go). timeout bounds each attempt's wait (zero keeps the client
+// default); retries is how many times a timed-out fetch is retransmitted.
 func FetchLiveContext(ctx context.Context, addr, adminCommunity string, timeout time.Duration, retries int) (*snmp.Config, error) {
 	client, err := snmp.Dial(addr, adminCommunity)
 	if err != nil {

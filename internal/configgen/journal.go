@@ -497,22 +497,3 @@ func Rollback(ctx context.Context, journalPath string, opts ...RolloutOption) (*
 	}
 	return report, ctx.Err()
 }
-
-// rollbackTarget restores one pre-image, skipping the write when the
-// agent already runs it.
-func rollbackTarget(ctx context.Context, tgt Target, pre *snmp.Config, opt *rolloutOptions) TargetResult {
-	start := time.Now()
-	live, err := FetchLiveContext(ctx, tgt.Addr, tgt.AdminCommunity, opt.attemptTimeout, opt.retries)
-	if err == nil && live.Digest() == pre.Digest() {
-		return TargetResult{
-			Target:   tgt,
-			Status:   StatusRolledBack,
-			Digest:   pre.Digest(),
-			Resumed:  true, // nothing applied; the pre-image was already live
-			Duration: time.Since(start),
-		}
-	}
-	res := restoreTarget(ctx, tgt, pre, opt)
-	res.Duration = time.Since(start)
-	return res
-}

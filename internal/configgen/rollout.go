@@ -231,7 +231,7 @@ type rolloutOptions struct {
 	jitterMu  sync.Mutex
 	jitterRng *rand.Rand
 
-	// Dial function; nil selects snmp.Dial.
+	// Dial function; nil selects the session's default (target.go).
 	dial func(addr, community string) (*snmp.Client, error)
 }
 
@@ -361,15 +361,18 @@ func WithJournal(path string) RolloutOption {
 // WithJournalNoSync drops the journal's per-record fsync. The journal
 // still hits the OS page cache in order, so it survives the process
 // being killed; only a machine crash can lose the tail. A 10k-target
-// rollout writes ~30k journal records — at one fsync each that is the
-// rollout's dominant cost, and mega-fleet runs trade the power-loss
-// window for it deliberately.
+// rollout writes ~30k journal records; over clean links, where no
+// target waits out a timeout, one fsync each is the rollout's dominant
+// cost (0.9 of a clean 2,000-target run), and mega-fleet runs trade the
+// power-loss window for it deliberately. Over lossy links the timeouts
+// and backoffs dominate and the fsyncs are under a tenth.
 func WithJournalNoSync() RolloutOption {
 	return func(o *rolloutOptions) { o.journalNoSync = true }
 }
 
-// WithDialer replaces snmp.Dial as the way attempt loops reach their
-// targets. A mixed fleet passes (*snmp.ClientMux).DialAny here so every
+// WithDialer replaces the plain dial as the way a rollout reaches its
+// targets, for every datagram: pre-image fetch, install and restore. A
+// mixed fleet passes (*snmp.ClientMux).DialAny here so every
 // real-network target shares one UDP socket while mem:// targets keep
 // the in-memory path; tests pass fault-wrapped dialers. The function
 // must be safe for concurrent use by the rollout's workers.
@@ -819,221 +822,6 @@ func rollbackWave(rctx context.Context, w waveSpan, targets []Target, report *Ro
 			return
 		}
 		tgt := targets[i]
-		record(i, restoreTarget(rctx, tgt, pre.get(targetKey(tgt.InstanceID, tgt.Addr)), opt))
+		record(i, restoreTarget(rctx, tgt, pre.get(targetKey(tgt.InstanceID, tgt.Addr)), opt, false))
 	})
-}
-
-// restoreTarget re-installs a captured pre-image at tgt, reporting
-// StatusRolledBack on success.
-func restoreTarget(rctx context.Context, tgt Target, prev *snmp.Config, opt *rolloutOptions) TargetResult {
-	start := time.Now()
-	res := TargetResult{Target: tgt}
-	var sp obs.Span
-	if obs.TracingEnabled() {
-		sp = obs.StartSpan("rollout.rollback", obs.Label{Key: "instance", Value: tgt.InstanceID})
-	}
-	defer func() {
-		res.Duration = time.Since(start)
-		sp.Label("status", res.Status.String())
-		sp.End()
-	}()
-	if prev == nil {
-		res.Status = StatusFailed
-		res.Err = fmt.Errorf("configgen: no pre-image captured for %s, cannot roll back", tgt.InstanceID)
-		return res
-	}
-	tctx := rctx
-	if opt.perTargetTimeout > 0 {
-		var tcancel context.CancelFunc
-		tctx, tcancel = context.WithTimeout(rctx, opt.perTargetTimeout)
-		defer tcancel()
-	}
-	attempts, err := attemptLoop(tctx, prev, tgt, opt)
-	res.Attempts = attempts
-	if err == nil {
-		res.Status = StatusRolledBack
-		res.Digest = prev.Digest()
-		return res
-	}
-	res.Status = StatusFailed
-	res.Err = fmt.Errorf("rollback: %w", err)
-	return res
-}
-
-// attemptLoop is the shared retry engine: it ships cp to tgt until an
-// attempt is acknowledged, the retry budget runs out, or tctx is done,
-// spacing attempts with jittered exponential backoff. It returns the
-// attempts consumed and the final error (nil on success).
-//
-// The connection is dialed once and the SetRequest prepared once, so
-// every attempt retransmits the SAME request ID. That makes ack loss
-// safe: an attempt whose install landed but whose acknowledgment was
-// eaten is answered from the agent's retransmit cache on the next
-// attempt instead of being applied a second time — the exactly-once
-// property the chaos suite pins as "zero duplicate ConfigLoads".
-func attemptLoop(tctx context.Context, cp *snmp.Config, tgt Target, opt *rolloutOptions) (int, error) {
-	dial := opt.dial
-	if dial == nil {
-		dial = snmp.Dial
-	}
-	client, err := dial(tgt.Addr, tgt.AdminCommunity)
-	if err != nil {
-		return 0, err
-	}
-	defer client.Close()
-	client.SetRetries(0) // retries belong to this loop, which counts them
-	if opt.attemptTimeout > 0 {
-		client.SetTimeout(opt.attemptTimeout)
-	}
-	prep, err := client.PrepareInstall(cp)
-	if err != nil {
-		return 0, err
-	}
-	attempts := 0
-	var lastErr error
-	for attempt := 0; attempt <= opt.retries; attempt++ {
-		if attempt > 0 {
-			var t0 time.Time
-			if opt.om.on {
-				t0 = time.Now()
-			}
-			err := sleepRollout(tctx, opt.rolloutBackoff(attempt-1))
-			if opt.om.on {
-				opt.om.sleep.Add(int64(time.Since(t0)))
-			}
-			if err != nil {
-				break
-			}
-		}
-		if tctx.Err() != nil {
-			break
-		}
-		attempts++
-		if err := prep.Send(tctx); err == nil {
-			return attempts, nil
-		} else {
-			lastErr = err
-		}
-	}
-	if lastErr == nil {
-		lastErr = tctx.Err()
-	}
-	return attempts, lastErr
-}
-
-// installTarget runs one target's install. cfg is the shared generated
-// configuration (nil when the instance has none); the target gets its
-// own deep copy before any mutation. When pre-images are being captured
-// it snapshots the agent's current config first (journaled before the
-// install so a crash can always revert), and skips the install entirely
-// when the live digest already matches the desired one.
-func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *rolloutOptions, pre *preStore) TargetResult {
-	start := time.Now()
-	res := TargetResult{Target: tgt}
-	// Per-target span: only pay for the label slice when traced.
-	var sp obs.Span
-	if obs.TracingEnabled() {
-		sp = obs.StartSpan("rollout.target", obs.Label{Key: "instance", Value: tgt.InstanceID})
-	}
-	defer func() {
-		res.Duration = time.Since(start)
-		if sp.Active() {
-			sp.Label("status", res.Status.String())
-			sp.Label("attempts", strconv.Itoa(res.Attempts))
-		}
-		sp.End()
-	}()
-
-	if cfg == nil {
-		res.Status = StatusSkipped
-		res.Err = fmt.Errorf("configgen: no configuration for instance %q", tgt.InstanceID)
-		return res
-	}
-
-	// Deep copy: the generated config (and its Communities map) is shared
-	// by every worker; the shallow copy this used to take let concurrent
-	// installs race on one map.
-	cp := DesiredConfig(cfg, tgt)
-	key := targetKey(tgt.InstanceID, tgt.Addr)
-
-	// Resume fast path: the journal already recorded this target
-	// installed at the digest we are about to install — nothing to do,
-	// no datagram sent.
-	if d, ok := opt.resumed[key]; ok && d == cp.Digest() {
-		res.Status = StatusInstalled
-		res.Resumed = true
-		res.Digest = d
-		return res
-	}
-
-	tctx := rctx
-	if opt.perTargetTimeout > 0 {
-		var tcancel context.CancelFunc
-		tctx, tcancel = context.WithTimeout(rctx, opt.perTargetTimeout)
-		defer tcancel()
-	}
-
-	if opt.capturePre() {
-		prev, err := FetchLiveContext(tctx, tgt.Addr, tgt.AdminCommunity, opt.attemptTimeout, opt.retries)
-		if err != nil {
-			res.Err = fmt.Errorf("pre-image capture: %w", err)
-			if rctx.Err() != nil {
-				res.Status = StatusCanceled
-			} else {
-				res.Status = StatusFailed
-			}
-			return res
-		}
-		pre.put(key, prev)
-		if jerr := opt.journal.recordPreImage(tgt, prev); jerr != nil {
-			// An unjournaled pre-image voids the rollback guarantee:
-			// refuse to install over it.
-			res.Status = StatusFailed
-			res.Err = fmt.Errorf("journal pre-image: %w", jerr)
-			return res
-		}
-		// Idempotency: the agent already runs the desired configuration
-		// (a crashed run installed it after its last journal write, or an
-		// operator re-ran a converged rollout). Installing again would
-		// double-apply.
-		if prev.Digest() == cp.Digest() {
-			res.Status = StatusInstalled
-			res.Resumed = true
-			res.Digest = cp.Digest()
-			return res
-		}
-	}
-
-	attempts, err := attemptLoop(tctx, cp, tgt, opt)
-	res.Attempts = attempts
-	if err == nil {
-		res.Status = StatusInstalled
-		res.Digest = cp.Digest()
-		return res
-	}
-
-	switch {
-	case rctx.Err() != nil:
-		res.Status = StatusCanceled
-	default:
-		// exhausted retries, or the per-target deadline expired
-		res.Status = StatusFailed
-	}
-	res.Err = err
-	return res
-}
-
-// sleepRollout sleeps for d or until ctx is done.
-func sleepRollout(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -262,10 +262,12 @@ func TestExtensionErrors(t *testing.T) {
 		`extension e ::= clause c d; end extension e.`,                // too many args
 		`extension e ::= clause c; decltype; end extension e.`,        // missing decltype arg
 		`extension e ::= clause c; subkeywords 5; end extension e.`,   // bad subkeyword
+		// nested past the parser's bound
+		`extension e ::= clause c; output t ` + strings.Repeat("(", 1_000_000) + `; end extension e.`,
 	}
 	for _, src := range bad {
 		if _, err := ParseFile("bad", src); err == nil {
-			t.Errorf("no error for %q", src)
+			t.Errorf("no error for %.80q", src)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"nmsl/internal/paperspec"
@@ -59,4 +60,7 @@ var FuzzSeeds = []string{
 	"type t ::= x @ ; end type u. \"open",
 	"process p ::= exports \"a\xffb\" 99999999999999999999 4.0.1 1.5; end process p.",
 	"process p(a.b, c: D; (x {y})) ::= k (a (b) {c;}) ( ; end process",
+	// size-scaling: nesting past the parser's bound, for the fuzzer to
+	// grow; small seeds never reached the depth that overflowed the stack
+	"process p ::= supports " + strings.Repeat("(", 2*maxNesting) + "x" + strings.Repeat(")", 2*maxNesting) + "; end process p.",
 }

@@ -210,6 +210,7 @@ type parser struct {
 	// innermost last, so that each finished Items slice is allocated
 	// once at its final length.
 	stack []Item
+	depth int // groups open around the current token
 }
 
 // Parse parses src as an NMSL specification. name is used in diagnostics
@@ -531,6 +532,12 @@ func (p *parser) parseItem() (it Item, ok bool) {
 	}
 }
 
+// maxNesting bounds how deep groups may nest. parseItem and parseGroup
+// recurse once per level, and so does every later walk of the tree; Go
+// ends the process, unrecoverably, when a goroutine's stack passes 1 GB,
+// which a few megabytes of "(" reach. Fig 6.1 nests a handful deep.
+const maxNesting = 1000
+
 func (p *parser) parseGroup() Item {
 	open := p.advance()
 	delim := byte('(')
@@ -539,6 +546,12 @@ func (p *parser) parseGroup() Item {
 		delim = '{'
 		closeKind = token.RBRACE
 	}
+	if p.depth == maxNesting {
+		p.errorf(open.Pos, "nesting deeper than %d", maxNesting)
+		p.skipGroup()
+		return Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	}
+	p.depth++
 	mark := len(p.stack)
 items:
 	for {
@@ -561,5 +574,19 @@ items:
 			p.advance()
 		}
 	}
+	p.depth--
 	return Item{Kind: Group, Delim: delim, Items: p.popItems(mark), Pos: open.Pos}
+}
+
+// skipGroup consumes, without recursing, the rest of a group whose opener
+// has been consumed: through its balancing closer, or to EOF.
+func (p *parser) skipGroup() {
+	for open := 1; open > 0 && p.cur.Kind != token.EOF; {
+		switch p.advance().Kind {
+		case token.LPAREN, token.LBRACE:
+			open++
+		case token.RPAREN, token.RBRACE:
+			open--
+		}
+	}
 }

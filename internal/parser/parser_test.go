@@ -312,6 +312,46 @@ func TestNestedGroups(t *testing.T) {
 	}
 }
 
+// TestNestingBound: groups nest to maxNesting and no deeper. Past it
+// Parse reports one positioned diagnostic for the offending group,
+// skips that group without recursing, and goes on to the declarations
+// that follow; a million levels, closed or not, cost a diagnostic and
+// not the process.
+func TestNestingBound(t *testing.T) {
+	nested := func(open, shut string, depth int) string {
+		return "process p ::= supports " + strings.Repeat(open, depth) + "x" + strings.Repeat(shut, depth) +
+			"; end process p.\ndomain d ::= end domain d."
+	}
+	if f := mustParse(t, nested("(", ")", maxNesting)); len(f.Decls) != 2 {
+		t.Fatalf("%d levels: %d declarations, want 2", maxNesting, len(f.Decls))
+	}
+	for _, tc := range []struct {
+		name, src string
+		decls     int
+	}{
+		{"one too deep", nested("(", ")", maxNesting+1), 2},
+		{"a million parentheses", nested("(", ")", 1_000_000), 2},
+		{"a million braces", nested("{", "}", 1_000_000), 2},
+		{"a million never closed", nested("(", "", 1_000_000), 1}, // the rest of the text is inside p
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Parse("deep.nmsl", tc.src)
+			list, _ := err.(ErrorList)
+			if len(list) == 0 {
+				t.Fatalf("err = %v, want an ErrorList", err)
+			}
+			want := fmt.Sprintf("nesting deeper than %d", maxNesting)
+			if list[0].Msg != want || list[0].Pos.Line != 1 || list[0].Pos.Column != len("process p ::= supports ")+maxNesting+1 {
+				t.Errorf("first error %q at %v, want %q at the group one past the bound", list[0].Msg, list[0].Pos, want)
+			}
+			if len(f.Decls) != tc.decls {
+				t.Errorf("%d declarations recovered, want %d", len(f.Decls), tc.decls)
+			}
+			SameAsMaterialized(t, tc.name, tc.src)
+		})
+	}
+}
+
 // Property: for arbitrary input, Parse never panics; either it returns
 // declarations or an error (or both, with recovery).
 func TestParseTotal(t *testing.T) {
@@ -386,9 +426,10 @@ func TestStreamingParseMatchesMaterializedSeeds(t *testing.T) {
 }
 
 type matParser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	toks  []token.Token
+	pos   int
+	errs  ErrorList
+	depth int
 }
 
 // parseMaterialized is Parse as it was before it streamed: every token
@@ -704,6 +745,22 @@ func (p *matParser) parseGroup() *Item {
 		closeKind = token.RBRACE
 	}
 	g := &Item{Kind: Group, Delim: delim, Pos: open.Pos}
+	// The one addition since: Parse's nesting bound, or the oracle would
+	// overflow its stack on the inputs Parse now survives.
+	if p.depth == maxNesting {
+		p.errorf(open.Pos, "nesting deeper than %d", maxNesting)
+		for n := 1; n > 0 && p.cur().Kind != token.EOF; {
+			switch p.advance().Kind {
+			case token.LPAREN, token.LBRACE:
+				n++
+			case token.RPAREN, token.RBRACE:
+				n--
+			}
+		}
+		return g
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	for {
 		t := p.cur()
 		if t.Kind == closeKind {

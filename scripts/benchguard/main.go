@@ -12,14 +12,16 @@
 // counting baselines absorb ±0 jitter from map growth. Entries without
 // -benchmem fields (both sides zero) skip the allocation comparison.
 //
-// Benchmark timings only compare within one machine class, so when the
-// baseline and current documents report different CPU strings the guard
-// prints a warning and exits 0 rather than failing on hardware drift.
+// Benchmark timings only compare within one machine class, so a
+// benchmark whose baseline was recorded on another CPU gets no ns/op
+// verdict, only a note. What a benchmark allocates does not depend on
+// the CPU: allocs/op and B/op are compared wherever the guard runs.
 //
 // -baseline takes a comma-separated list, oldest first: a successor
 // (BENCH_14.json) supersedes, benchmark by benchmark, the entries it
 // measured again and adds the ones its PR introduced, and leaves the
-// rest of the earlier baseline standing.
+// rest of the earlier baseline standing. Each entry keeps the CPU of the
+// document it came from.
 //
 // Usage:
 //
@@ -42,6 +44,8 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// CPU is the entry's document's, set by load.
+	CPU string `json:"-"`
 }
 
 type Document struct {
@@ -58,6 +62,7 @@ type sample struct {
 	// them bytes/allocs are parser zeros, not measurements.
 	memOK bool
 	ok    bool
+	cpu   string // where the entries were recorded
 }
 
 // result is one guarded benchmark's verdict.
@@ -67,6 +72,7 @@ type result struct {
 	delta     float64 // (cur-base)/base over ns/op
 	status    string  // "ok", "regression", "improvement", "no-baseline", ...
 	memNote   string  // non-empty when an allocation metric regressed
+	otherCPU  bool    // baseline from another CPU: ns/op carries no verdict
 }
 
 // minSample returns the per-metric minimum over every multi-iteration
@@ -80,7 +86,7 @@ func minSample(d *Document, name string) sample {
 			continue
 		}
 		if !s.ok {
-			s = sample{ns: b.NsPerOp, bytes: b.BytesPerOp, allocs: b.AllocsPerOp, ok: true}
+			s = sample{ns: b.NsPerOp, bytes: b.BytesPerOp, allocs: b.AllocsPerOp, ok: true, cpu: b.CPU}
 		} else {
 			if b.NsPerOp < s.ns {
 				s.ns = b.NsPerOp
@@ -106,14 +112,11 @@ func memRegressed(base, cur, tol float64) bool {
 	return cur > base*(1+tol)+0.5
 }
 
-// compare evaluates the guarded benchmarks. A non-empty skip string
-// means the comparison is meaningless (different hardware) and the
-// caller should exit 0. failed reports a regression beyond tol, or a
-// guarded benchmark missing from the current run.
-func compare(base, cur *Document, names []string, tol float64) (results []result, failed bool, skip string) {
-	if base.CPU != cur.CPU {
-		return nil, false, fmt.Sprintf("baseline CPU %q != current CPU %q; cross-machine timings do not compare", base.CPU, cur.CPU)
-	}
+// compare evaluates the guarded benchmarks. failed reports a regression
+// beyond tol — in ns/op only against a baseline from the current run's
+// CPU, in allocs/op and B/op against any — or a guarded benchmark
+// missing from the current run.
+func compare(base, cur *Document, names []string, tol float64) (results []result, failed bool) {
 	for _, name := range names {
 		c := minSample(cur, name)
 		if !c.ok {
@@ -126,8 +129,10 @@ func compare(base, cur *Document, names []string, tol float64) (results []result
 			results = append(results, result{name: name, cur: c, status: "no-baseline"})
 			continue
 		}
-		r := result{name: name, base: b, cur: c, delta: (c.ns - b.ns) / b.ns}
+		r := result{name: name, base: b, cur: c, delta: (c.ns - b.ns) / b.ns, otherCPU: b.cpu != c.cpu}
 		switch {
+		case r.otherCPU:
+			r.status = "ok"
 		case r.delta > tol:
 			r.status = "regression"
 			failed = true
@@ -152,7 +157,7 @@ func compare(base, cur *Document, names []string, tol float64) (results []result
 		}
 		results = append(results, r)
 	}
-	return results, failed, ""
+	return results, failed
 }
 
 func render(results []result, tol float64) string {
@@ -168,6 +173,9 @@ func render(results []result, tol float64) string {
 		if r.memNote != "" {
 			verdict += " (" + r.memNote + ")"
 		}
+		if r.otherCPU {
+			verdict += fmt.Sprintf(" (ns/op not compared: baseline CPU %q)", r.base.cpu)
+		}
 		fmt.Fprintf(&sb, "%-32s %14.0f %14.0f %+7.1f%% %12s  %s\n", r.name, r.base.ns, r.cur.ns, 100*r.delta, allocs, verdict)
 	}
 	fmt.Fprintf(&sb, "tolerance: +-%.0f%% (ns/op, allocs/op, B/op)\n", 100*tol)
@@ -176,14 +184,11 @@ func render(results []result, tol float64) string {
 
 // mergeBaselines folds successor baselines into the first: every
 // benchmark a later document measured replaces all earlier entries of
-// that name. Baselines recorded on different hardware cannot be mixed;
-// the merged CPU string then names both, so compare skips.
+// that name. Baselines may come from different hardware: every entry
+// carries its own document's CPU.
 func mergeBaselines(docs []*Document) *Document {
-	merged := &Document{CPU: docs[0].CPU}
+	merged := &Document{}
 	for _, d := range docs {
-		if d.CPU != merged.CPU {
-			merged.CPU += " + " + d.CPU
-		}
 		remeasured := map[string]bool{}
 		for _, b := range d.Benchmarks {
 			remeasured[b.Name] = true
@@ -207,6 +212,9 @@ func load(path string) (*Document, error) {
 	var d Document
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	for i := range d.Benchmarks {
+		d.Benchmarks[i].CPU = d.CPU
 	}
 	return &d, nil
 }
@@ -239,11 +247,7 @@ func main() {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	results, failed, skip := compare(base, cur, names, *tol)
-	if skip != "" {
-		fmt.Printf("benchguard: skipped: %s\n", skip)
-		return
-	}
+	results, failed := compare(base, cur, names, *tol)
 	fmt.Print(render(results, *tol))
 	if failed {
 		fmt.Println("benchguard: FAIL")

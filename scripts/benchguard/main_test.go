@@ -10,6 +10,7 @@ func doc(cpu string, entries ...Benchmark) *Document {
 		if entries[i].Iterations == 0 {
 			entries[i].Iterations = 20
 		}
+		entries[i].CPU = cpu // as load does
 	}
 	return &Document{CPU: cpu, Benchmarks: entries}
 }
@@ -17,9 +18,9 @@ func doc(cpu string, entries ...Benchmark) *Document {
 func TestCompareWithinTolerance(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1150})
-	results, failed, skip := compare(base, cur, []string{"CheckParallel8"}, 0.20)
-	if skip != "" || failed {
-		t.Fatalf("failed=%v skip=%q, want pass", failed, skip)
+	results, failed := compare(base, cur, []string{"CheckParallel8"}, 0.20)
+	if failed {
+		t.Fatalf("failed=%v, want pass", failed)
 	}
 	if results[0].status != "ok" {
 		t.Errorf("status = %q, want ok", results[0].status)
@@ -29,7 +30,7 @@ func TestCompareWithinTolerance(t *testing.T) {
 func TestCompareRegression(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1201})
-	results, failed, _ := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
 	if !failed || results[0].status != "regression" {
 		t.Fatalf("results = %+v failed=%v, want regression", results, failed)
 	}
@@ -42,7 +43,7 @@ func TestCompareRegression(t *testing.T) {
 func TestCompareImprovementPasses(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 500})
-	results, failed, _ := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
 	if failed || results[0].status != "improvement" {
 		t.Fatalf("results = %+v failed=%v, want passing improvement", results, failed)
 	}
@@ -58,7 +59,7 @@ func TestCompareUsesMinOverCounts(t *testing.T) {
 	cur := doc("xeon",
 		Benchmark{Name: "CheckParallel8", NsPerOp: 2000},
 		Benchmark{Name: "CheckParallel8", NsPerOp: 1100})
-	results, failed, _ := compare(base, cur, []string{"CheckParallel8"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckParallel8"}, 0.20)
 	if failed {
 		t.Fatalf("results = %+v, want pass (min 1100 vs min 1000)", results)
 	}
@@ -74,30 +75,47 @@ func TestCompareIgnoresSmokeEntries(t *testing.T) {
 		Benchmark{Name: "CheckParallel8", Iterations: 1, NsPerOp: 100},
 		Benchmark{Name: "CheckParallel8", Iterations: 20, NsPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1100})
-	results, failed, _ := compare(base, cur, []string{"CheckParallel8"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckParallel8"}, 0.20)
 	if failed || results[0].base.ns != 1000 {
 		t.Fatalf("results = %+v failed=%v, want smoke entry ignored", results, failed)
 	}
 	smokeOnly := doc("xeon", Benchmark{Name: "CheckParallel8", Iterations: 1, NsPerOp: 100})
-	results, failed, _ = compare(smokeOnly, cur, []string{"CheckParallel8"}, 0.20)
+	results, failed = compare(smokeOnly, cur, []string{"CheckParallel8"}, 0.20)
 	if failed || results[0].status != "no-baseline" {
 		t.Fatalf("results = %+v failed=%v, want passing no-baseline for smoke-only doc", results, failed)
 	}
 }
 
+// Off the recording machine only the timing verdict is skipped: what a
+// benchmark allocates compares across CPUs, and is still held.
 func TestCompareSkipsOnCPUMismatch(t *testing.T) {
-	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000})
-	cur := doc("epyc", Benchmark{Name: "CheckParallel8", NsPerOp: 9000})
-	_, failed, skip := compare(base, cur, []string{"CheckParallel8"}, 0.20)
-	if failed || skip == "" {
-		t.Fatalf("failed=%v skip=%q, want clean skip", failed, skip)
+	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 640})
+	for _, tc := range []struct {
+		name string
+		cur  Benchmark
+		fail bool
+		want string // in the rendered verdict
+	}{
+		{"slower ns/op only", Benchmark{Name: "CheckParallel8", NsPerOp: 9000, AllocsPerOp: 10, BytesPerOp: 640}, false, `ok (ns/op not compared: baseline CPU "xeon")`},
+		{"doubled B/op", Benchmark{Name: "CheckParallel8", NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 1280}, true, "B/op 640 -> 1280"},
+		{"doubled allocs/op", Benchmark{Name: "CheckParallel8", NsPerOp: 500, AllocsPerOp: 20, BytesPerOp: 640}, true, "allocs/op 10.0 -> 20.0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results, failed := compare(base, doc("epyc", tc.cur), []string{"CheckParallel8"}, 0.20)
+			if failed != tc.fail {
+				t.Errorf("failed=%v, want %v: %+v", failed, tc.fail, results)
+			}
+			if out := render(results, 0.20); !strings.Contains(out, tc.want) {
+				t.Errorf("render lacks %q:\n%s", tc.want, out)
+			}
+		})
 	}
 }
 
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000})
 	cur := doc("xeon")
-	results, failed, _ := compare(base, cur, []string{"CheckParallel8"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckParallel8"}, 0.20)
 	if !failed {
 		t.Fatalf("results = %+v, want failure when guarded benchmark vanishes", results)
 	}
@@ -108,7 +126,7 @@ func TestCompareAllocRegressionFails(t *testing.T) {
 	// ns/op misses exactly the regressions the arena work prevents.
 	base := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 640})
 	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000, AllocsPerOp: 20, BytesPerOp: 640})
-	results, failed, _ := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
 	if !failed || results[0].status != "regression" || results[0].memNote == "" {
 		t.Fatalf("results = %+v failed=%v, want allocation regression", results, failed)
 	}
@@ -123,12 +141,12 @@ func TestCompareZeroAllocBaselineIsExact(t *testing.T) {
 	// slack covers integer jitter on counting baselines, not zero ones).
 	base := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000, AllocsPerOp: 0, BytesPerOp: 512})
 	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000, AllocsPerOp: 1, BytesPerOp: 512})
-	_, failed, _ := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
+	_, failed := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
 	if !failed {
 		t.Fatal("one allocation over a zero-alloc baseline must fail")
 	}
 	same := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000, AllocsPerOp: 0, BytesPerOp: 512})
-	_, failed, _ = compare(base, same, []string{"CheckWarmCache"}, 0.20)
+	_, failed = compare(base, same, []string{"CheckWarmCache"}, 0.20)
 	if failed {
 		t.Fatal("identical zero-alloc runs must pass")
 	}
@@ -137,7 +155,7 @@ func TestCompareZeroAllocBaselineIsExact(t *testing.T) {
 func TestCompareBytesRegressionFails(t *testing.T) {
 	base := doc("xeon", Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 1000, AllocsPerOp: 4, BytesPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 1000, AllocsPerOp: 4, BytesPerOp: 1500})
-	results, failed, _ := compare(base, cur, []string{"MemAgentRoundTrip"}, 0.20)
+	results, failed := compare(base, cur, []string{"MemAgentRoundTrip"}, 0.20)
 	if !failed || results[0].memNote == "" {
 		t.Fatalf("results = %+v failed=%v, want B/op regression", results, failed)
 	}
@@ -148,7 +166,7 @@ func TestCompareWithoutBenchmemSkipsAllocs(t *testing.T) {
 	// the memory fields; they must not masquerade as zero-alloc gates.
 	base := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000})
 	cur := doc("xeon", Benchmark{Name: "CheckParallel8", NsPerOp: 1000, AllocsPerOp: 50, BytesPerOp: 4096})
-	_, failed, _ := compare(base, cur, []string{"CheckParallel8"}, 0.20)
+	_, failed := compare(base, cur, []string{"CheckParallel8"}, 0.20)
 	if failed {
 		t.Fatal("allocation guard fired against a baseline with no -benchmem data")
 	}
@@ -157,7 +175,7 @@ func TestCompareWithoutBenchmemSkipsAllocs(t *testing.T) {
 func TestCompareNoBaselineWarnsButPasses(t *testing.T) {
 	base := doc("xeon")
 	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 900})
-	results, failed, _ := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
+	results, failed := compare(base, cur, []string{"CheckWarmCache"}, 0.20)
 	if failed || results[0].status != "no-baseline" {
 		t.Fatalf("results = %+v failed=%v, want passing no-baseline", results, failed)
 	}
@@ -185,19 +203,25 @@ func TestMergeBaselinesSuccessorSupersedes(t *testing.T) {
 	// Back at the old 64 KB-per-datagram allocation: the first baseline
 	// alone would wave it through, the successor must not.
 	cur := doc("xeon", Benchmark{Name: "MemAgentRoundTrip", NsPerOp: 1000, BytesPerOp: 7304030, AllocsPerOp: 9600})
-	results, failed, _ := compare(base, cur, []string{"MemAgentRoundTrip"}, 0.20)
+	results, failed := compare(base, cur, []string{"MemAgentRoundTrip"}, 0.20)
 	if !failed || !strings.Contains(results[0].memNote, "B/op") {
 		t.Errorf("B/op regression against the successor not flagged: %+v", results)
 	}
 }
 
+// Baselines from two machines merge: each benchmark is timed against
+// the current run only if its own baseline came from the same CPU.
 func TestMergeBaselinesMixedHardwareSkips(t *testing.T) {
 	base := mergeBaselines([]*Document{
 		doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 1000}),
-		doc("epyc", Benchmark{Name: "ConfigGen20k", NsPerOp: 5000}),
+		doc("epyc", Benchmark{Name: "ConfigGen20k", NsPerOp: 1000}),
 	})
-	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 5000})
-	if _, failed, skip := compare(base, cur, []string{"CheckWarmCache"}, 0.20); skip == "" || failed {
-		t.Errorf("baselines from two machines must skip, got failed=%v skip=%q", failed, skip)
+	cur := doc("xeon", Benchmark{Name: "CheckWarmCache", NsPerOp: 5000}, Benchmark{Name: "ConfigGen20k", NsPerOp: 5000})
+	results, failed := compare(base, cur, []string{"CheckWarmCache", "ConfigGen20k"}, 0.20)
+	if !failed || results[0].status != "regression" {
+		t.Errorf("same-CPU baseline not compared after a mixed merge: %+v", results[0])
+	}
+	if results[1].status != "ok" || !results[1].otherCPU {
+		t.Errorf("other-CPU baseline got a timing verdict: %+v", results[1])
 	}
 }
