@@ -2,8 +2,12 @@ package configgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -209,6 +213,9 @@ func differentialModels(t *testing.T) map[string]*consistency.Model {
 }
 
 // sameConfig fails unless got is byte-for-byte the configuration want.
+// want's bytes and digest are taken from encoding/json, the definition of
+// the wire form, so every configuration the oracle generates also holds
+// snmp.MarshalConfig, Config.Digest and snmp.UnmarshalConfig to it.
 func sameConfig(t *testing.T, what string, got, want *snmp.Config) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -221,15 +228,18 @@ func sameConfig(t *testing.T, what string, got, want *snmp.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := snmp.MarshalConfig(want)
+	wb, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gb, wb) {
 		t.Errorf("%s: config differs from the scan's\n got %s\nwant %s", what, gb, wb)
 	}
-	if got.Digest() != want.Digest() {
-		t.Errorf("%s: digest %s, want %s", what, got.Digest(), want.Digest())
+	if sum := sha256.Sum256(wb); got.Digest() != hex.EncodeToString(sum[:]) {
+		t.Errorf("%s: digest %s, want %x", what, got.Digest(), sum)
+	}
+	if back, err := snmp.UnmarshalConfig(wb); err != nil || !reflect.DeepEqual(back, want) {
+		t.Errorf("%s: %s reads back as %+v, %v", what, wb, back, err)
 	}
 }
 

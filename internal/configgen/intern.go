@@ -12,15 +12,16 @@ import "nmsl/internal/snmp"
 type InternPool map[string]*snmp.Config
 
 // Intern returns the pooled instance structurally equal to cfg, adding
-// cfg to the pool on first sight. A nil cfg interns to nil.
-func (p InternPool) Intern(cfg *snmp.Config) *snmp.Config {
+// cfg to the pool on first sight, and the digest it is pooled under. A
+// nil cfg interns to nil and "".
+func (p InternPool) Intern(cfg *snmp.Config) (*snmp.Config, string) {
 	if cfg == nil {
-		return nil
+		return nil, ""
 	}
 	d := cfg.Digest()
 	if c, ok := p[d]; ok {
-		return c
+		return c, d
 	}
 	p[d] = cfg
-	return cfg
+	return cfg, d
 }

@@ -12,6 +12,7 @@ import (
 
 	"nmsl/internal/netsim"
 	"nmsl/internal/obs"
+	"nmsl/internal/snmp"
 )
 
 // TestJournalRoundTrip: a journaled rollout leaves a journal whose
@@ -298,5 +299,57 @@ func TestRollbackRestoresJournaledPreImages(t *testing.T) {
 	if os.Getenv("NMSL_DEBUG_JOURNAL") != "" {
 		blob, _ := os.ReadFile(path)
 		t.Logf("journal:\n%s", blob)
+	}
+}
+
+// TestParentWrittenJournalResumes replays testdata/journal_pr23.jsonl, the
+// journal of a finished rollout of testdata/isp.nmsl written by the code
+// before PR 28 (encoding/json blobs and digests) to three agents on
+// mem://journal-fixture. Under today's codec every pre-image must still
+// match its recorded digest and re-marshal to the bytes in the file, and
+// a resume must find every planned digest current: no datagram, no
+// install.
+func TestParentWrittenJournalResumes(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/journal_pr23.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "rollout.journal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadJournal(path)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	n, err := snmp.NewMemNet("journal-fixture", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	agents := map[string]*snmp.Agent{}
+	for _, p := range st.Plan {
+		ts := st.ByKey[targetKey(p.Instance, p.Addr)]
+		blob, err := snmp.MarshalConfig(ts.PreImage)
+		if err != nil || !bytes.Contains(fixture, append([]byte(`"config":`), blob...)) {
+			t.Errorf("%s: pre-image re-marshals to %s (%v), not to the journal's bytes", p.Instance, blob, err)
+		}
+		agents[p.Instance] = snmp.NewAgent(snmp.NewStore(), &snmp.Config{AdminCommunity: p.Admin})
+		if _, err := n.AddHost(p.Instance, agents[p.Instance]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := os.ReadFile("../../testdata/isp.nmsl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := ResumeRollout(context.Background(), buildModel(t, string(src)), path, WithMetrics(obs.Disabled))
+	if err != nil || !report.OK() || report.Installed != len(st.Plan) || report.Attempts != 0 {
+		t.Fatalf("resume: err=%v %s", err, report.Summary())
+	}
+	for id, a := range agents {
+		if s := a.Stats(); s.Requests != 0 || s.ConfigLoads != 0 {
+			t.Errorf("%s: resume sent %d requests and installed %d configurations", id, s.Requests, s.ConfigLoads)
+		}
 	}
 }

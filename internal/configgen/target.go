@@ -155,15 +155,16 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 	// by every worker; the shallow copy this used to take let concurrent
 	// installs race on one map.
 	cp := DesiredConfig(cfg, tgt)
+	digest := cp.Digest()
 	key := targetKey(tgt.InstanceID, tgt.Addr)
 
 	// Resume fast path: the journal already recorded this target
 	// installed at the digest we are about to install — nothing to do,
 	// no datagram sent.
-	if d, ok := opt.resumed[key]; ok && d == cp.Digest() {
+	if d, ok := opt.resumed[key]; ok && d == digest {
 		res.Status = StatusInstalled
 		res.Resumed = true
-		res.Digest = d
+		res.Digest = digest
 		return res
 	}
 
@@ -205,10 +206,10 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 		// (a crashed run installed it after its last journal write, or an
 		// operator re-ran a converged rollout). Installing again would
 		// double-apply.
-		if prev.Digest() == cp.Digest() {
+		if prev.Digest() == digest {
 			res.Status = StatusInstalled
 			res.Resumed = true
-			res.Digest = cp.Digest()
+			res.Digest = digest
 			return res
 		}
 	}
@@ -218,7 +219,7 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 		return failed(err)
 	}
 	res.Status = StatusInstalled
-	res.Digest = cp.Digest()
+	res.Digest = digest
 	return res
 }
 

@@ -94,7 +94,7 @@ func New(m *consistency.Model, netName, admin string, seed int64) (*Fleet, error
 			AdminCommunity: admin,
 		}
 		f.Targets = append(f.Targets, tgt)
-		cfg := pool.Intern(configs[id])
+		cfg, _ := pool.Intern(configs[id])
 		d, ok := digests[cfg]
 		if !ok {
 			d = configgen.DesiredConfig(cfg, tgt).Digest()

@@ -313,8 +313,8 @@ func New(m *consistency.Model, targets []configgen.Target, opts ...Option) (*Rec
 		if cfg == nil {
 			return nil, fmt.Errorf("reconcile: no configuration generated for instance %q", tgt.InstanceID)
 		}
-		desired := pool.Intern(configgen.DesiredConfig(cfg, tgt))
-		all = append(all, target{tgt: tgt, desired: desired, digest: desired.Digest()})
+		desired, digest := pool.Intern(configgen.DesiredConfig(cfg, tgt))
+		all = append(all, target{tgt: tgt, desired: desired, digest: digest})
 	}
 
 	nshards := opt.sweepWorkers

@@ -156,18 +156,6 @@ func (c *Config) Clone() *Config {
 // private.enterprises).
 var ConfigOID = mib.OID{1, 3, 6, 1, 4, 1, 42424, 1}
 
-// MarshalConfig serializes a Config for the live install path.
-func MarshalConfig(c *Config) ([]byte, error) { return json.Marshal(c) }
-
-// UnmarshalConfig parses a serialized Config.
-func UnmarshalConfig(data []byte) (*Config, error) {
-	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
 // Store is the agent's management database: OID-ordered variables.
 //
 // A store may be a copy-on-write overlay over a shared base (Fork): reads

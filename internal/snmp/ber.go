@@ -137,25 +137,31 @@ func (v Value) String() string {
 // isConstructed reports whether a tag carries nested values.
 func isConstructed(tag byte) bool { return tag&0x20 != 0 }
 
+// headerLen returns the size of a tag and definite length in front of a
+// body of n bytes: two, and in the long form a byte more for each of n's.
+func headerLen(n int) int {
+	l := 2
+	for m := n; n >= 0x80 && m > 0; m >>= 8 {
+		l++
+	}
+	return l
+}
+
 // appendLength appends a BER definite length.
 func appendLength(dst []byte, n int) []byte {
 	if n < 0x80 {
 		return append(dst, byte(n))
 	}
-	var tmp [8]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte(n)
-		n >>= 8
+	l := headerLen(n) - 2
+	dst = append(dst, 0x80|byte(l))
+	for i := l - 1; i >= 0; i-- {
+		dst = append(dst, byte(n>>(8*i)))
 	}
-	dst = append(dst, 0x80|byte(len(tmp)-i))
-	return append(dst, tmp[i:]...)
+	return dst
 }
 
-// appendInt appends a two's-complement big-endian integer body.
-func appendInt(dst []byte, v int64) []byte {
-	// minimal two's complement encoding
+// intLen returns the size of v's minimal two's-complement encoding.
+func intLen(v int64) int {
 	n := 8
 	for n > 1 {
 		top := byte(v >> ((n - 1) * 8))
@@ -166,73 +172,121 @@ func appendInt(dst []byte, v int64) []byte {
 		}
 		break
 	}
-	for i := n - 1; i >= 0; i-- {
+	return n
+}
+
+// appendInt appends a two's-complement big-endian integer body.
+func appendInt(dst []byte, v int64) []byte {
+	for i := intLen(v) - 1; i >= 0; i-- {
 		dst = append(dst, byte(v>>(i*8)))
 	}
 	return dst
 }
 
-// appendOID appends OID body bytes (X.690 packed form).
-func appendOID(dst []byte, oid mib.OID) ([]byte, error) {
+// oidLen returns the size of oid's body bytes (X.690 packed form), or the
+// reason it has none.
+func oidLen(oid mib.OID) (int, error) {
 	if len(oid) < 2 {
-		return nil, fmt.Errorf("snmp: OID %v too short to encode", oid)
+		return 0, fmt.Errorf("snmp: OID %v too short to encode", oid)
 	}
 	if oid[0] > 2 || oid[1] >= 40 {
-		return nil, fmt.Errorf("snmp: OID %v has invalid first arcs", oid)
+		return 0, fmt.Errorf("snmp: OID %v has invalid first arcs", oid)
 	}
-	dst = append(dst, byte(oid[0]*40+oid[1]))
+	n := 1
 	for _, arc := range oid[2:] {
 		if arc < 0 {
-			return nil, fmt.Errorf("snmp: negative OID arc %d", arc)
+			return 0, fmt.Errorf("snmp: negative OID arc %d", arc)
 		}
+		n += base128Len(uint64(arc))
+	}
+	return n, nil
+}
+
+// appendOID appends the body bytes of an OID oidLen accepted.
+func appendOID(dst []byte, oid mib.OID) []byte {
+	dst = append(dst, byte(oid[0]*40+oid[1]))
+	for _, arc := range oid[2:] {
 		dst = appendBase128(dst, uint64(arc))
 	}
-	return dst, nil
+	return dst
+}
+
+// base128Len returns how many 7-bit groups v takes.
+func base128Len(v uint64) int {
+	n := 1
+	for v >>= 7; v > 0; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 func appendBase128(dst []byte, v uint64) []byte {
-	var tmp [10]byte
-	i := len(tmp)
-	i--
-	tmp[i] = byte(v & 0x7F)
-	v >>= 7
-	for v > 0 {
-		i--
-		tmp[i] = byte(v&0x7F) | 0x80
-		v >>= 7
+	for i := base128Len(v) - 1; i > 0; i-- {
+		dst = append(dst, byte(v>>(7*uint(i)))|0x80)
 	}
-	return append(dst, tmp[i:]...)
+	return append(dst, byte(v&0x7F))
 }
 
-// Encode appends the BER encoding of v to dst.
-func Encode(dst []byte, v Value) ([]byte, error) {
-	var body []byte
-	var err error
-	switch {
-	case isConstructed(v.Tag):
-		for _, sub := range v.Seq {
-			body, err = Encode(body, sub)
-			if err != nil {
-				return nil, err
-			}
-		}
-	case v.Tag == TagInteger || v.Tag == TagCounter || v.Tag == TagGauge || v.Tag == TagTimeTicks:
-		body = appendInt(nil, v.Int)
-	case v.Tag == TagOctets || v.Tag == TagOpaque || v.Tag == TagIPAddress:
-		body = append(body, v.Bytes...)
-	case v.Tag == TagNull:
-		// empty
-	case v.Tag == TagOID:
-		body, err = appendOID(nil, v.OID)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("snmp: cannot encode tag 0x%02x", v.Tag)
+// bodyLen returns the size of v's encoded body. Every error Encode can
+// report is reported here, so that appendValue cannot fail.
+func bodyLen(v Value) (int, error) {
+	switch v.Tag {
+	case TagInteger, TagCounter, TagGauge, TagTimeTicks:
+		return intLen(v.Int), nil
+	case TagOctets, TagOpaque, TagIPAddress:
+		return len(v.Bytes), nil
+	case TagNull:
+		return 0, nil
+	case TagOID:
+		return oidLen(v.OID)
 	}
-	dst = append(dst, v.Tag)
-	dst = appendLength(dst, len(body))
-	return append(dst, body...), nil
+	if !isConstructed(v.Tag) {
+		return 0, fmt.Errorf("snmp: cannot encode tag 0x%02x", v.Tag)
+	}
+	n := 0
+	for _, sub := range v.Seq {
+		l, err := bodyLen(sub)
+		if err != nil {
+			return 0, err
+		}
+		n += headerLen(l) + l
+	}
+	return n, nil
+}
+
+// appendValue appends tag, length and body of a value whose body bodyLen
+// measured as n; a nested body is measured again when it is reached.
+func appendValue(dst []byte, v Value, n int) []byte {
+	dst = appendLength(append(dst, v.Tag), n)
+	switch v.Tag {
+	case TagInteger, TagCounter, TagGauge, TagTimeTicks:
+		return appendInt(dst, v.Int)
+	case TagOctets, TagOpaque, TagIPAddress:
+		return append(dst, v.Bytes...)
+	case TagOID:
+		return appendOID(dst, v.OID)
+	case TagNull:
+		return dst
+	}
+	for _, sub := range v.Seq {
+		l, _ := bodyLen(sub)
+		dst = appendValue(dst, sub, l)
+	}
+	return dst
+}
+
+// Encode appends the BER encoding of v to dst. It works in two passes,
+// size and then write: no body is built apart and copied into its
+// parent, and a dst without room grows once, to the exact size.
+func Encode(dst []byte, v Value) ([]byte, error) {
+	n, err := bodyLen(v)
+	if err != nil {
+		return nil, err
+	}
+	if total := headerLen(n) + n; cap(dst)-len(dst) < total {
+		dst = append(make([]byte, 0, len(dst)+total), dst...)
+	}
+	return appendValue(dst, v, n), nil
 }
 
 // errTruncated reports malformed input.
@@ -282,17 +336,9 @@ func Decode(data []byte) (Value, []byte, error) {
 			v.Seq = append(v.Seq, sub)
 		}
 	case tag == TagInteger || tag == TagCounter || tag == TagGauge || tag == TagTimeTicks:
-		if len(body) == 0 || len(body) > 8 {
-			return Value{}, nil, fmt.Errorf("snmp: bad integer length %d", len(body))
+		if v.Int, err = decodeInt(body); err != nil {
+			return Value{}, nil, err
 		}
-		var n int64
-		if body[0]&0x80 != 0 {
-			n = -1
-		}
-		for _, b := range body {
-			n = n<<8 | int64(b)
-		}
-		v.Int = n
 	case tag == TagOctets || tag == TagOpaque || tag == TagIPAddress:
 		v.Bytes = append([]byte(nil), body...)
 	case tag == TagNull:
@@ -311,11 +357,32 @@ func Decode(data []byte) (Value, []byte, error) {
 	return v, rest, nil
 }
 
+// decodeInt reads a two's-complement big-endian integer body.
+func decodeInt(body []byte) (int64, error) {
+	if len(body) == 0 || len(body) > 8 {
+		return 0, fmt.Errorf("snmp: bad integer length %d", len(body))
+	}
+	var n int64
+	if body[0]&0x80 != 0 {
+		n = -1
+	}
+	for _, b := range body {
+		n = n<<8 | int64(b)
+	}
+	return n, nil
+}
+
 func decodeOID(body []byte) (mib.OID, error) {
 	if len(body) == 0 {
 		return nil, errors.New("snmp: empty OID")
 	}
-	oid := mib.OID{int(body[0]) / 40, int(body[0]) % 40}
+	arcs := 2
+	for _, b := range body[1:] {
+		if b&0x80 == 0 {
+			arcs++
+		}
+	}
+	oid := append(make(mib.OID, 0, arcs), int(body[0])/40, int(body[0])%40)
 	var cur uint64
 	inArc := false
 	for _, b := range body[1:] {

@@ -6,9 +6,10 @@ import (
 )
 
 // Digest returns a deterministic content hash of the configuration: the
-// hex SHA-256 of its canonical JSON wire form (encoding/json emits map
-// keys sorted, and view lists are kept ordered by the generator, so two
-// semantically identical configurations digest identically).
+// hex SHA-256 of its canonical wire form, the bytes MarshalConfig returns
+// (appendConfig writes community names sorted, and view lists are kept
+// ordered by the generator, so two semantically identical configurations
+// digest identically).
 //
 // Digests are the identity the transactional rollout machinery reasons
 // with: the journal records the digest planned for each target, resume
@@ -19,13 +20,9 @@ func (c *Config) Digest() string {
 	if c == nil {
 		return ""
 	}
-	blob, err := MarshalConfig(c)
-	if err != nil {
-		// A Config is plain data; Marshal cannot fail in practice. An
-		// empty digest never matches a real one, which fails safe (the
-		// rollout re-installs rather than skips).
-		return ""
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	var scratch [512]byte
+	sum := sha256.Sum256(appendConfig(scratch[:0], c))
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
 }

@@ -11,10 +11,11 @@ import (
 	"nmsl/internal/mib"
 )
 
-// TestRoundTripAllocBudget is the allocation gate for the pooled receive
-// buffer: one GET round trip over mem:// — client and agent side both,
-// they share the process — allocates under 8 KB, which a 64 KB buffer
-// per request would exceed nine times over.
+// TestRoundTripAllocBudget is the allocation gate for the datagram path:
+// one GET round trip over mem:// — client and agent side both, they
+// share the process — allocates under 3 KB. A 64 KB receive buffer per
+// request would exceed that twenty times over, and a codec that builds a
+// Value tree per message (7.5 KB a round trip) twice.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -50,8 +51,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perTrip := (after.TotalAlloc - before.TotalAlloc) / trips
 	t.Logf("%d B allocated per GET round trip", perTrip)
-	if perTrip >= 8<<10 {
-		t.Errorf("a GET round trip over mem:// allocates %d B, want < 8 KB", perTrip)
+	if perTrip >= 3<<10 {
+		t.Errorf("a GET round trip over mem:// allocates %d B, want < 3 KB", perTrip)
 	}
 }
 

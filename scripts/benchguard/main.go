@@ -224,7 +224,7 @@ func main() {
 	current := flag.String("current", "BENCH_guard.json", "fresh run to compare (bench2json format)")
 	tol := flag.Float64("tolerance", 0.20, "allowed fractional drift before failing")
 	bench := flag.String("bench",
-		"CompileDomains1000,CompileDomains10000,CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,ConfigGen20k,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
+		"CompileDomains1000,CompileDomains10000,CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,ConfigGen20k,ConfigCodecMarshal,ConfigCodecUnmarshal,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
 		"comma-separated guarded benchmark names (bench2json names, no Benchmark prefix)")
 	flag.Parse()
 
