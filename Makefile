@@ -9,7 +9,7 @@ GO ?= go
 # below it.
 COVER_FLOOR ?= 70
 
-.PHONY: all build test vet race linear bench-build ci chaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench
+.PHONY: all build test vet race linear bench-build bench-smoke cichaos chaos-matrix mega-smoke scale-smoke bench bench-parallel bench-rollout cover bench-ci bench-guard bench-nightly bench-mutex bench-heap svc-smoke svc-bench
 
 # Scenario matrix for `make chaos`: every topology shape the scenario
 # library knows, each run under the full chaos matrix.
@@ -88,7 +88,15 @@ bench-build:
 	$(GO) build -C bench -o /dev/null .
 	$(GO) vet -C bench .
 
-ci: vet race linear bench-build chaos svc-smoke
+# The benchmark itself at smoke scale, exactly as BENCHMARK.json builds
+# and runs it from the checkout: all four workloads, about a second each.
+# It exits non-zero on a wrong output or a run that ends without a
+# result, which bench-build cannot see. Untraced only: a traced edit-1k
+# run trips the known layer-sum check (bench/README.md).
+bench-smoke:
+	bash bench/run.sh --scale smoke --seconds 1 --trace 0
+
+ci: vet race linear bench-build bench-smoke chaos svc-smoke
 
 # Chaos gate: the crash-resume tests re-run several times under the race
 # detector, each run killing the journaled rollout at a different offset

@@ -38,10 +38,11 @@ func muxRun(domains, systems int, seed int64, workers int, stdout, stderr io.Wri
 	}
 	defer mem.Close()
 
-	configs := configgen.Generate(m)
-	ids := make([]string, 0, len(configs))
-	for id := range configs {
-		ids = append(ids, id)
+	var ids []string
+	for _, in := range m.Instances {
+		if in.Proc.IsAgent() {
+			ids = append(ids, in.ID)
+		}
 	}
 	sort.Strings(ids)
 
@@ -96,9 +97,8 @@ func muxRun(domains, systems int, seed int64, workers int, stdout, stderr io.Wri
 	}
 
 	drifted := 0
-	for _, tgt := range targets {
-		want := configgen.DesiredConfig(configs[tgt.InstanceID], tgt).Digest()
-		if agents[tgt.InstanceID].ConfigSnapshot().Digest() != want {
+	for i, want := range configgen.DesiredState(m, targets) {
+		if agents[targets[i].InstanceID].ConfigSnapshot().Digest() != want.Digest {
 			drifted++
 		}
 	}

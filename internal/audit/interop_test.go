@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"nmsl/internal/configgen"
 	"nmsl/internal/consistency"
 	"nmsl/internal/netsim"
+	"nmsl/internal/obs"
 	"nmsl/internal/snmp"
 )
 
@@ -39,9 +41,12 @@ func startFleet(t *testing.T, p netsim.Params) (*consistency.Model, map[string]s
 		agents[id] = agent
 		targets = append(targets, configgen.Target{InstanceID: id, Addr: addr.String(), AdminCommunity: "adm"})
 	}
-	results := configgen.Distribute(m, targets, configgen.DistributeOptions{})
-	if failed := configgen.Failed(results); len(failed) != 0 {
-		t.Fatalf("distribution failures: %+v", failed)
+	report, err := configgen.DistributeContext(context.Background(), m, targets, configgen.WithMetrics(obs.Disabled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.OK() {
+		t.Fatalf("distribution failures: %s", report.Summary())
 	}
 	return m, addrs, agents
 }

@@ -2,13 +2,9 @@ package configgen
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"strings"
-	"time"
-
-	"nmsl/internal/consistency"
 )
 
 // Section 5 of the paper observes that "it may be too time consuming to
@@ -19,10 +15,10 @@ import (
 // specification alone." Our per-instance derivation has exactly that
 // property — each agent's configuration depends only on its own exports
 // and the exports of domains containing it — so generation and
-// installation parallelize per network element. Distributor implements
-// the fan-out.
+// installation parallelize per network element. DistributeContext
+// (rollout.go) implements the fan-out.
 
-// Target tells the Distributor where one agent instance lives.
+// Target tells a rollout where one agent instance lives.
 type Target struct {
 	// InstanceID is the consistency-model instance, e.g.
 	// "snmpdReadOnly@romano.cs.wisc.edu#0".
@@ -31,36 +27,6 @@ type Target struct {
 	Addr string
 	// AdminCommunity authenticates the generator to the agent.
 	AdminCommunity string
-}
-
-// InstallResult reports one installation attempt.
-type InstallResult struct {
-	Target   Target
-	Err      error
-	Duration time.Duration
-}
-
-// DistributeOptions tune the fan-out.
-type DistributeOptions struct {
-	// Workers bounds concurrent installations; zero selects 8.
-	Workers int
-}
-
-// Distribute derives every agent's configuration from the model and
-// installs each one concurrently at its target. Instances without a
-// target are skipped; targets without a generated configuration are
-// reported as errors. Results are sorted by instance ID.
-//
-// Distribute is the pre-context compatibility wrapper around
-// DistributeContext: default retry policy, no cancellation, flat result
-// list.
-func Distribute(m *consistency.Model, targets []Target, opts DistributeOptions) []InstallResult {
-	report, _ := DistributeContext(context.Background(), m, targets, WithWorkers(opts.Workers))
-	results := make([]InstallResult, len(report.Results))
-	for i, r := range report.Results {
-		results[i] = InstallResult{Target: r.Target, Err: r.Err, Duration: r.Duration}
-	}
-	return results
 }
 
 // ParseTargets reads a rollout target list, one target per line:
@@ -94,15 +60,4 @@ func ParseTargets(r io.Reader, defaultAdmin string) ([]Target, error) {
 		return nil, err
 	}
 	return targets, nil
-}
-
-// Failed filters the results with errors.
-func Failed(results []InstallResult) []InstallResult {
-	var out []InstallResult
-	for _, r := range results {
-		if r.Err != nil {
-			out = append(out, r)
-		}
-	}
-	return out
 }

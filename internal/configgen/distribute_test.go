@@ -1,11 +1,12 @@
 package configgen
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"nmsl/internal/consistency"
 	"nmsl/internal/netsim"
+	"nmsl/internal/obs"
 	"nmsl/internal/snmp"
 )
 
@@ -40,12 +41,12 @@ func TestDistribute(t *testing.T) {
 		targets = append(targets, Target{InstanceID: id, Addr: addr.String(), AdminCommunity: "adm"})
 	}
 
-	results := Distribute(m, targets, DistributeOptions{Workers: 4})
-	if len(results) != len(targets) {
-		t.Fatalf("results: %d", len(results))
+	report, err := DistributeContext(context.Background(), m, targets, WithWorkers(4), WithMetrics(obs.Disabled))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if failed := Failed(results); len(failed) != 0 {
-		t.Fatalf("failures: %+v", failed)
+	if len(report.Results) != len(targets) || !report.OK() {
+		t.Fatalf("%s", report.Summary())
 	}
 	for id, agent := range agents {
 		cfg := agent.ConfigSnapshot()
@@ -66,9 +67,14 @@ func TestDistributeReportsMissingInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := Distribute(m, []Target{{InstanceID: "ghost@nowhere#0", Addr: "127.0.0.1:1", AdminCommunity: "adm"}}, DistributeOptions{})
-	if len(results) != 1 || results[0].Err == nil {
-		t.Fatalf("results: %+v", results)
+	report, err := DistributeContext(context.Background(), m,
+		[]Target{{InstanceID: "ghost@nowhere#0", Addr: "127.0.0.1:1", AdminCommunity: "adm"}},
+		WithMetrics(obs.Disabled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Skipped != 1 || report.Results[0].Status != StatusSkipped || report.Results[0].Err == nil {
+		t.Fatalf("results: %+v", report.Results)
 	}
 }
 
@@ -83,9 +89,13 @@ func TestDistributeUnreachableTarget(t *testing.T) {
 	}
 	// port 1 on loopback: nothing listens; the install must fail after
 	// retries rather than hang.
-	results := Distribute(m, []Target{{InstanceID: id, Addr: "127.0.0.1:1", AdminCommunity: "adm"}}, DistributeOptions{})
-	if len(Failed(results)) != 1 {
-		t.Fatalf("results: %+v", results)
+	report, err := DistributeContext(context.Background(), m,
+		[]Target{{InstanceID: id, Addr: "127.0.0.1:1", AdminCommunity: "adm"}},
+		WithAttemptTimeout(100*time.Millisecond), WithMetrics(obs.Disabled))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = consistency.Check(m)
+	if report.Failed != 1 || report.Results[0].Status != StatusFailed || report.Results[0].Err == nil {
+		t.Fatalf("results: %+v", report.Results)
+	}
 }

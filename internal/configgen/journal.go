@@ -166,20 +166,17 @@ func (j *Journal) append(rec journalRecord) error {
 }
 
 // recordPreImage journals an agent's configuration as captured before
-// the rollout touches it.
-func (j *Journal) recordPreImage(tgt Target, cfg *snmp.Config) error {
+// the rollout touches it: blob is its MarshalConfig form, digest the
+// digest of those bytes.
+func (j *Journal) recordPreImage(tgt Target, blob []byte, digest string) error {
 	if j == nil {
 		return nil
-	}
-	blob, err := snmp.MarshalConfig(cfg)
-	if err != nil {
-		return fmt.Errorf("configgen: journal pre-image marshal: %w", err)
 	}
 	return j.append(journalRecord{
 		Kind:     recPreImage,
 		Instance: tgt.InstanceID,
 		Addr:     tgt.Addr,
-		Digest:   cfg.Digest(),
+		Digest:   digest,
 		Config:   blob,
 	})
 }
@@ -413,7 +410,8 @@ func ResumeRollout(ctx context.Context, m *consistency.Model, journalPath string
 			opt.resumed[key] = ts.InstalledDigest
 		}
 	}
-	return rolloutRun(ctx, Generate(m), planTargets(st.Plan), opt)
+	targets := planTargets(st.Plan)
+	return rolloutRun(ctx, DesiredState(m, targets), targets, opt)
 }
 
 // Rollback restores every agent a journaled rollout touched to its

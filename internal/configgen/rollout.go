@@ -462,19 +462,6 @@ func (o *rolloutOptions) rolloutBackoff(k int) time.Duration {
 // targetKey identifies a target within a rollout and its journal.
 func targetKey(instanceID, addr string) string { return instanceID + "|" + addr }
 
-// DesiredConfig returns the exact configuration a rollout installs at
-// tgt: the instance's generated config with the target's admin community
-// applied. Digest comparisons against a live agent must use this form,
-// not the raw generated config.
-func DesiredConfig(cfg *snmp.Config, tgt Target) *snmp.Config {
-	if cfg == nil {
-		return nil
-	}
-	cp := cfg.Clone()
-	cp.AdminCommunity = tgt.AdminCommunity
-	return cp
-}
-
 // waveSpan is one wave's half-open [start, end) slice of the targets.
 type waveSpan struct{ start, end int }
 
@@ -546,13 +533,13 @@ func DistributeContext(ctx context.Context, m *consistency.Model, targets []Targ
 			return contractRefusedReport(targets, cause, opt, start), cause
 		}
 	}
-	return rolloutRun(ctx, Generate(m), targets, opt)
+	return rolloutRun(ctx, DesiredState(m, targets), targets, opt)
 }
 
-// rolloutRun executes the wave/gate state machine over pre-generated
-// configs. ResumeRollout enters here with a re-opened journal and the
-// journal's plan as targets.
-func rolloutRun(ctx context.Context, configs map[string]*snmp.Config, targets []Target, opt *rolloutOptions) (*RolloutReport, error) {
+// rolloutRun executes the wave/gate state machine over the targets'
+// desired state (desired[i] is targets[i]'s). ResumeRollout enters here
+// with a re-opened journal and the journal's plan as targets.
+func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *rolloutOptions) (*RolloutReport, error) {
 	// Journal creation (fresh runs): the plan record must be durable
 	// before the first datagram leaves, or a crash forgets the targets.
 	if opt.journalPath != "" && opt.journal == nil {
@@ -562,7 +549,7 @@ func rolloutRun(ctx context.Context, configs map[string]*snmp.Config, targets []
 				Instance: tgt.InstanceID,
 				Addr:     tgt.Addr,
 				Admin:    tgt.AdminCommunity,
-				Digest:   DesiredConfig(configs[tgt.InstanceID], tgt).Digest(),
+				Digest:   desired[i].Digest,
 			}
 		}
 		j, err := CreateJournal(opt.journalPath, plan)
@@ -643,7 +630,7 @@ func rolloutRun(ctx context.Context, configs map[string]*snmp.Config, targets []
 		// not spawn 10k goroutines just to have a semaphore park most of
 		// them.
 		runPool(w, opt.workers, func(i int) {
-			record(i, installTarget(rctx, configs[targets[i].InstanceID], targets[i], opt, pre))
+			record(i, installTarget(rctx, desired[i], targets[i], opt, pre))
 		})
 
 		if rctx.Err() != nil || !opt.gated() {

@@ -122,13 +122,13 @@ func (o *rolloutOptions) targetContext(rctx context.Context) (context.Context, c
 	return rctx, func() {}
 }
 
-// installTarget runs one target's install. cfg is the shared generated
-// configuration (nil when the instance has none); the target gets its
-// own deep copy before any mutation. When pre-images are being captured
-// it snapshots the agent's current config first (journaled before the
-// install so a crash can always revert), and skips the install entirely
-// when the live digest already matches the desired one.
-func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *rolloutOptions, pre *preStore) TargetResult {
+// installTarget runs one target's install of want, its desired state (a
+// nil Config when the instance has none), which it only reads. When
+// pre-images are being captured it snapshots the agent's current config
+// first (journaled before the install so a crash can always revert), and
+// skips the install entirely when the live digest already matches the
+// desired one.
+func installTarget(rctx context.Context, want Desired, tgt Target, opt *rolloutOptions, pre *preStore) TargetResult {
 	start := time.Now()
 	res := TargetResult{Target: tgt}
 	// Per-target span: only pay for the label slice when traced.
@@ -145,26 +145,20 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 		sp.End()
 	}()
 
-	if cfg == nil {
+	if want.Config == nil {
 		res.Status = StatusSkipped
 		res.Err = fmt.Errorf("configgen: no configuration for instance %q", tgt.InstanceID)
 		return res
 	}
-
-	// Deep copy: the generated config (and its Communities map) is shared
-	// by every worker; the shallow copy this used to take let concurrent
-	// installs race on one map.
-	cp := DesiredConfig(cfg, tgt)
-	digest := cp.Digest()
 	key := targetKey(tgt.InstanceID, tgt.Addr)
 
 	// Resume fast path: the journal already recorded this target
 	// installed at the digest we are about to install — nothing to do,
 	// no datagram sent.
-	if d, ok := opt.resumed[key]; ok && d == digest {
+	if d, ok := opt.resumed[key]; ok && d == want.Digest {
 		res.Status = StatusInstalled
 		res.Resumed = true
-		res.Digest = digest
+		res.Digest = want.Digest
 		return res
 	}
 
@@ -195,7 +189,13 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 			return failed(fmt.Errorf("pre-image capture: %w", err))
 		}
 		pre.put(key, prev)
-		if jerr := opt.journal.recordPreImage(tgt, prev); jerr != nil {
+		// One marshal serves the journal record and the digest check.
+		blob, jerr := snmp.MarshalConfig(prev)
+		prevDigest := snmp.BlobDigest(blob)
+		if jerr == nil {
+			jerr = opt.journal.recordPreImage(tgt, blob, prevDigest)
+		}
+		if jerr != nil {
 			// An unjournaled pre-image voids the rollback guarantee:
 			// refuse to install over it.
 			res.Status = StatusFailed
@@ -206,20 +206,20 @@ func installTarget(rctx context.Context, cfg *snmp.Config, tgt Target, opt *roll
 		// (a crashed run installed it after its last journal write, or an
 		// operator re-ran a converged rollout). Installing again would
 		// double-apply.
-		if prev.Digest() == digest {
+		if prevDigest == want.Digest {
 			res.Status = StatusInstalled
 			res.Resumed = true
-			res.Digest = digest
+			res.Digest = want.Digest
 			return res
 		}
 	}
 
-	res.Attempts, err = s.install(tctx, cp)
+	res.Attempts, err = s.install(tctx, want.Config)
 	if err != nil {
 		return failed(err)
 	}
 	res.Status = StatusInstalled
-	res.Digest = digest
+	res.Digest = want.Digest
 	return res
 }
 

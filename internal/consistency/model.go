@@ -218,6 +218,10 @@ type Model struct {
 	// from colsOnce so configgen can read it (instPermIndex, columns.go).
 	instPermsOnce sync.Once
 	instPerms     [][]int32
+	// fleetOnce/fleet hold configgen's desired fleet state, derived once
+	// per model (FleetState); the checker never reads it.
+	fleetOnce sync.Once
+	fleet     any
 	// varCache memoizes MIB name resolution (Tree.LookupSuffix splits the
 	// path on every call); the same few view patterns resolve on every
 	// reference, so the check's steady state stays allocation-free.
@@ -547,6 +551,18 @@ func (m *Model) buildRefs() {
 
 // InstanceByID returns the instance with the given ID, or nil.
 func (m *Model) InstanceByID(id string) *Instance { return m.byID[id] }
+
+// Index returns the instance's position in Model.Instances.
+func (in *Instance) Index() int { return int(in.idx) }
+
+// FleetState returns what build derives from the model, calling build on
+// the first call only. configgen keeps each model's desired fleet state
+// here, beside the model's other once-built tables: the model is
+// immutable after BuildModel, so a derivation of it is too.
+func (m *Model) FleetState(build func() any) any {
+	m.fleetOnce.Do(func() { m.fleet = build() })
+	return m.fleet
+}
 
 // PermsGrantedBy returns the indexes into Perms of the process-level
 // permissions the instance grants, ascending (so in Perms order); nil

@@ -21,48 +21,42 @@ import (
 // The fleet is built for §1 scale (100k agents in one process): every
 // agent's store is a copy-on-write fork of one shared MIB database, the
 // pre-rollout configuration is a single shared immutable Config, and the
-// desired digests are computed once at construction instead of
-// regenerating the model's configurations on every convergence probe.
+// desired state is the model's own (configgen.DesiredState), derived
+// once for the rollout, the reconciler and every convergence probe.
 type Fleet struct {
 	Model   *consistency.Model
 	Net     *snmp.MemNet
 	Admin   string
 	Targets []configgen.Target
 	Agents  map[string]*snmp.Agent
-
-	// desired maps instance ID → the digest of the exact configuration a
-	// rollout installs there (configgen.DesiredConfig under this fleet's
-	// admin community). Computed once in New; Unconverged compares live
-	// digests against it instead of re-running configgen.Generate.
-	desired map[string]string
 }
 
-// New builds one agent per generated configuration and hosts them all
-// on a fresh MemNet registered under netName. Agents start with an
+// New builds one agent per agent instance of the model and hosts them
+// all on a fresh MemNet registered under netName. Agents start with an
 // empty configuration that honors the admin community (the pre-rollout
 // state: reachable, unconfigured). seed derives every host's fault
 // schedule.
 func New(m *consistency.Model, netName, admin string, seed int64) (*Fleet, error) {
-	configs := configgen.Generate(m)
-	if len(configs) == 0 {
+	var ids []string
+	for _, in := range m.Instances {
+		if in.Proc.IsAgent() {
+			ids = append(ids, in.ID)
+		}
+	}
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("megafleet: model generates no agent configurations")
 	}
+	sort.Strings(ids) // stable target order → stable wave membership
 	n, err := snmp.NewMemNet(netName, seed)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{
-		Model:   m,
-		Net:     n,
-		Admin:   admin,
-		Agents:  make(map[string]*snmp.Agent, len(configs)),
-		desired: make(map[string]string, len(configs)),
+		Model:  m,
+		Net:    n,
+		Admin:  admin,
+		Agents: make(map[string]*snmp.Agent, len(ids)),
 	}
-	ids := make([]string, 0, len(configs))
-	for id := range configs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // stable target order → stable wave membership
 
 	// One populated MIB database for the whole fleet; each agent gets a
 	// copy-on-write fork whose overlay holds only that agent's own
@@ -76,11 +70,6 @@ func New(m *consistency.Model, netName, admin string, seed int64) (*Fleet, error
 		Communities:    map[string]*snmp.CommunityConfig{},
 		AdminCommunity: admin,
 	}
-	// Structurally identical generated configurations (every agent of the
-	// same process shape) intern to one payload, so the digest pass below
-	// hashes each distinct configuration once and caches by pointer.
-	pool := configgen.InternPool{}
-	digests := map[*snmp.Config]string{}
 	for _, id := range ids {
 		agent := snmp.NewAgent(base.Fork(), initial)
 		if _, err := n.AddHost(id, agent); err != nil {
@@ -88,19 +77,11 @@ func New(m *consistency.Model, netName, admin string, seed int64) (*Fleet, error
 			return nil, err
 		}
 		f.Agents[id] = agent
-		tgt := configgen.Target{
+		f.Targets = append(f.Targets, configgen.Target{
 			InstanceID:     id,
 			Addr:           n.Addr(id),
 			AdminCommunity: admin,
-		}
-		f.Targets = append(f.Targets, tgt)
-		cfg, _ := pool.Intern(configs[id])
-		d, ok := digests[cfg]
-		if !ok {
-			d = configgen.DesiredConfig(cfg, tgt).Digest()
-			digests[cfg] = d
-		}
-		f.desired[id] = d
+		})
 	}
 	return f, nil
 }
@@ -117,13 +98,12 @@ func (f *Fleet) Converged() bool {
 }
 
 // Unconverged counts agents whose live digest differs from desired.
-// The desired digests were computed once at construction — a
-// convergence probe costs one live digest per agent, not a full
-// configuration regeneration.
+// The model derives its desired state once, so a convergence probe costs
+// one live digest per agent, not a configuration regeneration.
 func (f *Fleet) Unconverged() int {
 	n := 0
-	for _, tgt := range f.Targets {
-		if f.Agents[tgt.InstanceID].ConfigSnapshot().Digest() != f.desired[tgt.InstanceID] {
+	for i, want := range configgen.DesiredState(f.Model, f.Targets) {
+		if f.Agents[f.Targets[i].InstanceID].ConfigSnapshot().Digest() != want.Digest {
 			n++
 		}
 	}

@@ -239,11 +239,11 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// target is one fleet member with its cached desired configuration.
+// target is one fleet member with its desired state, shared with every
+// other consumer of the model's (configgen.DesiredState).
 type target struct {
-	tgt     configgen.Target
-	desired *snmp.Config
-	digest  string
+	tgt  configgen.Target
+	want configgen.Desired
 }
 
 // shard is one worker's slice of the fleet with its private mutable
@@ -293,7 +293,6 @@ func New(m *consistency.Model, targets []configgen.Target, opts ...Option) (*Rec
 	for _, fn := range opts {
 		fn(&opt)
 	}
-	configs := configgen.Generate(m)
 	r := &Reconciler{m: m, opt: opt}
 	if opt.seeded {
 		r.rng = rand.New(rand.NewSource(opt.seed))
@@ -302,19 +301,12 @@ func New(m *consistency.Model, targets []configgen.Target, opts ...Option) (*Rec
 		r.rng = rand.New(rand.NewSource(opt.seed))
 	}
 
-	// Identical desired configurations intern to one payload: at §1
-	// scale most of a fleet's 100k targets share a handful of process
-	// shapes, and holding one Config per shape instead of one per target
-	// is much of what lets the reconciler's table fit in memory.
-	pool := configgen.InternPool{}
-	all := make([]target, 0, len(targets))
-	for _, tgt := range targets {
-		cfg := configs[tgt.InstanceID]
-		if cfg == nil {
-			return nil, fmt.Errorf("reconcile: no configuration generated for instance %q", tgt.InstanceID)
+	all := make([]target, len(targets))
+	for i, want := range configgen.DesiredState(m, targets) {
+		if want.Config == nil {
+			return nil, fmt.Errorf("reconcile: no configuration generated for instance %q", targets[i].InstanceID)
 		}
-		desired, digest := pool.Intern(configgen.DesiredConfig(cfg, tgt))
-		all = append(all, target{tgt: tgt, desired: desired, digest: digest})
+		all[i] = target{tgt: targets[i], want: want}
 	}
 
 	nshards := opt.sweepWorkers
@@ -391,8 +383,8 @@ func (r *Reconciler) observe(ctx context.Context, t target) (drifted bool, detai
 	if err != nil {
 		return false, "", err
 	}
-	if d := live.Digest(); d != t.digest {
-		return true, fmt.Sprintf("live digest %.12s.. != desired %.12s..", d, t.digest), nil
+	if d := live.Digest(); d != t.want.Digest {
+		return true, fmt.Sprintf("live digest %.12s.. != desired %.12s..", d, t.want.Digest), nil
 	}
 	if r.opt.auditOn {
 		rep, aerr := audit.AgentContext(ctx, r.m, t.tgt.InstanceID, t.tgt.Addr, r.opt.auditOpts)
@@ -415,7 +407,7 @@ func (r *Reconciler) heal(ctx context.Context, t target) error {
 	defer client.Close()
 	client.SetRetries(r.opt.retries)
 	client.SetTimeout(r.opt.attemptTimeout)
-	return client.InstallConfigContext(ctx, t.desired)
+	return client.InstallConfigContext(ctx, t.want.Config)
 }
 
 // RunOnce performs a single reconciliation sweep over the fleet and

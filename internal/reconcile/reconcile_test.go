@@ -104,9 +104,10 @@ func TestReconcilerHealsDrift(t *testing.T) {
 	// exactly once.
 	configs := configgen.Generate(m)
 	for _, tgt := range targets {
-		want := configgen.DesiredConfig(configs[tgt.InstanceID], tgt).Digest()
-		if got := agents[tgt.InstanceID].ConfigSnapshot().Digest(); got != want {
-			t.Errorf("%s: live digest %.12s != desired %.12s", tgt.InstanceID, got, want)
+		want := configs[tgt.InstanceID]
+		want.AdminCommunity = tgt.AdminCommunity
+		if got := agents[tgt.InstanceID].ConfigSnapshot().Digest(); got != want.Digest() {
+			t.Errorf("%s: live digest %.12s != desired %.12s", tgt.InstanceID, got, want.Digest())
 		}
 		if loads := agents[tgt.InstanceID].Stats().ConfigLoads; loads != 1 {
 			t.Errorf("%s: %d config loads, want 1", tgt.InstanceID, loads)
@@ -346,6 +347,39 @@ func TestReconcilerRejectsUnknownInstance(t *testing.T) {
 	_, err = New(m, []configgen.Target{{InstanceID: "ghost@nowhere#0", Addr: "127.0.0.1:1", AdminCommunity: "adm"}})
 	if err == nil {
 		t.Fatal("New accepted a target with no generated configuration")
+	}
+}
+
+// TestReconcilerReadsModelDesiredState: the reconciler's targets hold
+// the model's desired state itself — the very values DesiredState hands
+// every other consumer, in every shard — not a copy of their own.
+func TestReconcilerReadsModelDesiredState(t *testing.T) {
+	m, err := netsim.Model(netsim.Params{Domains: 3, SystemsPerDomain: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []configgen.Target
+	for _, admin := range []string{"adm", "other"} {
+		for id := range configgen.Generate(m) {
+			targets = append(targets, configgen.Target{InstanceID: id, Addr: "127.0.0.1:1", AdminCommunity: admin})
+		}
+	}
+	r, err := New(m, targets, WithSweepWorkers(3), WithMetrics(obs.Disabled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := configgen.DesiredState(m, targets)
+	i := 0
+	for _, sd := range r.shards {
+		for _, tt := range sd.targets {
+			if tt.tgt != targets[i] || tt.want != want[i] {
+				t.Fatalf("target %d: reconciler holds %+v for %+v, DesiredState %+v", i, tt.want, tt.tgt, want[i])
+			}
+			i++
+		}
+	}
+	if i != len(targets) {
+		t.Fatalf("%d of %d targets sharded", i, len(targets))
 	}
 }
 

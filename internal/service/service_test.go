@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +16,7 @@ import (
 	apiv1 "nmsl/api/v1"
 	"nmsl/internal/netsim"
 	"nmsl/internal/obs"
+	"nmsl/internal/paperspec"
 )
 
 func newTestService(t *testing.T, opts ...Option) *Service {
@@ -411,5 +417,74 @@ func TestCacheCapAppliesToTenants(t *testing.T) {
 	}
 	if rep.Cache.Evictions == 0 {
 		t.Fatal("cap produced no evictions")
+	}
+}
+
+// TestGenerateResponseBytes pins the generate endpoint's bytes to
+// encoding/json's: each configuration blob is snmp.MarshalConfig's
+// direct encoding, and both it and the whole response must read exactly
+// as json.Marshal of the same configurations would, over the testdata
+// corpus and the paper's specification.
+func TestGenerateResponseBytes(t *testing.T) {
+	s := newTestService(t)
+	ctx := context.Background()
+	reqs := map[string]*apiv1.SpecRequest{
+		"paperspec": {Sources: []apiv1.Source{{Name: "paper.nmsl", Text: paperspec.Combined}}},
+	}
+	files, err := filepath.Glob("../../testdata/*.nmsl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata corpus: %v", err)
+	}
+	for _, path := range files {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &apiv1.SpecRequest{Sources: []apiv1.Source{{Name: filepath.Base(path), Text: string(text)}}}
+		if filepath.Base(path) == "machineroom.nmsl" {
+			ext, err := os.ReadFile("../../testdata/proxy.nmslext")
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Extensions = []apiv1.Source{{Name: "proxy.nmslext", Text: string(ext)}}
+		}
+		reqs[strings.TrimSuffix(filepath.Base(path), ".nmsl")] = req
+	}
+	configs := 0
+	for id, req := range reqs {
+		if _, err := s.UpdateSpec(ctx, id, req); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		out, err := s.Generate(ctx, id)
+		if errors.Is(err, ErrInconsistent) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		tn, err := s.tenant(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *out
+		want.Configs = map[string]json.RawMessage{}
+		for inst, cfg := range tn.spec.AgentConfigs() {
+			if want.Configs[inst], err = json.Marshal(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Configs[inst], want.Configs[inst]) {
+				t.Errorf("%s %s:\n got %s\nwant %s", id, inst, out.Configs[inst], want.Configs[inst])
+			}
+		}
+		t.Logf("%s: %d configurations", id, len(want.Configs))
+		configs += len(want.Configs)
+		gb, _ := json.Marshal(out)
+		wb, _ := json.Marshal(&want)
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("%s: response\n got %s\nwant %s", id, gb, wb)
+		}
+	}
+	if configs == 0 {
+		t.Fatal("no consistent specification generated a configuration")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	apiv1 "nmsl/api/v1"
 	"nmsl/internal/configgen"
 	"nmsl/internal/obs"
+	"nmsl/internal/snmp"
 )
 
 // Tenant is one resident specification: the compiled model, the last
@@ -333,7 +334,7 @@ func (s *Service) Generate(ctx context.Context, id string) (*apiv1.GenerateRespo
 		Configs:    make(map[string]json.RawMessage, len(configs)),
 	}
 	for inst, cfg := range configs {
-		blob, err := json.Marshal(cfg)
+		blob, err := snmp.MarshalConfig(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("service: marshal config for %s: %w", inst, err)
 		}

@@ -21,7 +21,14 @@ func (c *Config) Digest() string {
 		return ""
 	}
 	var scratch [512]byte
-	sum := sha256.Sum256(appendConfig(scratch[:0], c))
+	return BlobDigest(appendConfig(scratch[:0], c))
+}
+
+// BlobDigest returns the digest of a configuration MarshalConfig has
+// already written: BlobDigest(MarshalConfig(c)) == c.Digest() for every
+// non-nil c, without marshaling c a second time.
+func BlobDigest(blob []byte) string {
+	sum := sha256.Sum256(blob)
 	var digest [2 * sha256.Size]byte
 	hex.Encode(digest[:], sum[:])
 	return string(digest[:])
