@@ -92,9 +92,12 @@ bench-build:
 # and runs it from the checkout: all four workloads, about a second each.
 # It exits non-zero on a wrong output or a run that ends without a
 # result, which bench-build cannot see. Untraced only: a traced edit-1k
-# run trips the known layer-sum check (bench/README.md).
+# run trips the known layer-sum check (bench/README.md). The second run
+# at one worker drives the checker's inline pool of one through the
+# benchmark's own output checks.
 bench-smoke:
 	bash bench/run.sh --scale smoke --seconds 1 --trace 0
+	bash bench/run.sh --scale smoke --seconds 1 --trace 0 --conc 1
 
 ci: vet race linear bench-build bench-smoke chaos svc-smoke
 

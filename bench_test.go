@@ -387,7 +387,11 @@ func benchCheckerKind(b *testing.B, useLogic bool) {
 	for i := 0; i < b.N; i++ {
 		var rep *consistency.Report
 		if useLogic {
-			rep = consistency.CheckLogic(m)
+			rep, err = consistency.CheckContext(context.Background(), m,
+				consistency.Options{Workers: 1, Engine: consistency.EngineLogic, Metrics: obs.Disabled})
+			if err != nil {
+				b.Fatal(err)
+			}
 		} else {
 			rep = consistency.Check(m)
 		}

@@ -74,7 +74,7 @@ func TestCorpus(t *testing.T) {
 			}
 
 			// the logic engine must agree
-			rep2 := spec.CheckLogic()
+			rep2 := checkEngine(t, spec.Model(), EngineLogic)
 			if rep2.Consistent() != tc.consistent || len(rep2.Violations) != len(rep.Violations) {
 				t.Fatalf("logic checker disagrees: %d vs %d violations", len(rep2.Violations), len(rep.Violations))
 			}

@@ -9,9 +9,9 @@ import (
 )
 
 // Engine parity for the materialized-closure tentpole: the logic engine
-// over materialized fact tables (CheckLogic / EngineLogic), the
-// recursive-rule oracle (CheckLogicRecursive / EngineLogicRecursive)
-// and the indexed checker must all render byte-identical reports.
+// over materialized fact tables (EngineLogic), the recursive-rule oracle
+// (EngineLogicRecursive) and the indexed checker must all render
+// byte-identical reports.
 
 // TestEngineParityCorpus triangulates the three engines across the
 // testdata corpus, consistent and inconsistent specifications alike.
@@ -21,8 +21,8 @@ func TestEngineParityCorpus(t *testing.T) {
 			spec := compileCorpus(t, tc)
 			m := spec.Model()
 			indexed := consistency.Check(m)
-			logic := consistency.CheckLogic(m)
-			recursive := consistency.CheckLogicRecursive(m).String()
+			logic := checkEngine(t, m, consistency.EngineLogic)
+			recursive := checkEngine(t, m, consistency.EngineLogicRecursive).String()
 			if logic.String() != recursive {
 				t.Errorf("materialized and recursive logic engines diverge:\n%s\nvs\n%s", logic, recursive)
 			}
@@ -61,8 +61,8 @@ func TestEngineParityNetsim(t *testing.T) {
 			t.Fatal(err)
 		}
 		indexed := consistency.Check(m)
-		logic := consistency.CheckLogic(m)
-		recursive := consistency.CheckLogicRecursive(m).String()
+		logic := checkEngine(t, m, consistency.EngineLogic)
+		recursive := checkEngine(t, m, consistency.EngineLogicRecursive).String()
 		if logic.String() != recursive {
 			t.Errorf("case %d: materialized vs recursive logic diverge:\n%s\nvs\n%s", i, logic, recursive)
 		}

@@ -2,8 +2,8 @@
 // made robust against the network it manages. Shipping configuration to
 // 100k+ elements cannot assume a lossless transport, so DistributeContext
 // treats each install as a fallible distributed operation — bounded
-// workers, per-target retries with jittered exponential backoff, optional
-// per-target deadlines, streamed results, and a report that distinguishes
+// workers, per-target retries with jittered exponential backoff and
+// per-attempt timeouts, streamed results, and a report that distinguishes
 // installed, failed, skipped, canceled and rolled-back targets instead of
 // collapsing them into one error.
 //
@@ -61,8 +61,7 @@ const (
 	// agent (or, on resume, the journal or the agent's live digest showed
 	// it already in place).
 	StatusInstalled RolloutStatus = iota
-	// StatusFailed means every attempt errored (or the per-target
-	// deadline expired).
+	// StatusFailed means every attempt errored.
 	StatusFailed
 	// StatusSkipped means no configuration was generated for the
 	// target's instance, so nothing was sent.
@@ -205,17 +204,16 @@ type rolloutRunMetrics struct {
 
 // rolloutOptions is the resolved option set.
 type rolloutOptions struct {
-	workers          int
-	retries          int
-	backoffBase      time.Duration
-	backoffMax       time.Duration
-	perTargetTimeout time.Duration
-	attemptTimeout   time.Duration
-	onResult         func(TargetResult)
-	onWave           func(WaveResult)
-	failFast         bool
-	metrics          *obs.Registry
-	om               rolloutRunMetrics
+	workers        int
+	retries        int
+	backoffBase    time.Duration
+	backoffMax     time.Duration
+	attemptTimeout time.Duration
+	onResult       func(TargetResult)
+	onWave         func(WaveResult)
+	failFast       bool
+	metrics        *obs.Registry
+	om             rolloutRunMetrics
 
 	// Transactional layer.
 	contracts      []changeContract
@@ -261,13 +259,6 @@ func WithRetries(n int) RolloutOption {
 // immediately.
 func WithBackoff(base, max time.Duration) RolloutOption {
 	return func(o *rolloutOptions) { o.backoffBase, o.backoffMax = base, max }
-}
-
-// WithPerTargetTimeout bounds the total time spent on one target across
-// all its attempts and backoffs; zero means unbounded (the context still
-// applies).
-func WithPerTargetTimeout(d time.Duration) RolloutOption {
-	return func(o *rolloutOptions) { o.perTargetTimeout = d }
 }
 
 // WithAttemptTimeout bounds each individual install attempt's wait for

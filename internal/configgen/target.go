@@ -114,14 +114,6 @@ func sleepRollout(ctx context.Context, d time.Duration) {
 	}
 }
 
-// targetContext bounds one target's work by WithPerTargetTimeout.
-func (o *rolloutOptions) targetContext(rctx context.Context) (context.Context, context.CancelFunc) {
-	if o.perTargetTimeout > 0 {
-		return context.WithTimeout(rctx, o.perTargetTimeout)
-	}
-	return rctx, func() {}
-}
-
 // installTarget runs one target's install of want, its desired state (a
 // nil Config when the instance has none), which it only reads. When
 // pre-images are being captured it snapshots the agent's current config
@@ -162,12 +154,9 @@ func installTarget(rctx context.Context, want Desired, tgt Target, opt *rolloutO
 		return res
 	}
 
-	tctx, tcancel := opt.targetContext(rctx)
-	defer tcancel()
-
 	// failed classifies an error: the rollout being cut short is a
-	// cancellation; anything else (exhausted retries, the per-target
-	// deadline) is the target's failure.
+	// cancellation; anything else (exhausted retries) is the target's
+	// failure.
 	failed := func(err error) TargetResult {
 		res.Status = StatusFailed
 		if rctx.Err() != nil {
@@ -184,7 +173,7 @@ func installTarget(rctx context.Context, want Desired, tgt Target, opt *rolloutO
 	defer s.close()
 
 	if opt.capturePre() {
-		prev, err := s.fetch(tctx)
+		prev, err := s.fetch(rctx)
 		if err != nil {
 			return failed(fmt.Errorf("pre-image capture: %w", err))
 		}
@@ -214,7 +203,7 @@ func installTarget(rctx context.Context, want Desired, tgt Target, opt *rolloutO
 		}
 	}
 
-	res.Attempts, err = s.install(tctx, want.Config)
+	res.Attempts, err = s.install(rctx, want.Config)
 	if err != nil {
 		return failed(err)
 	}
@@ -251,21 +240,18 @@ func restoreTarget(rctx context.Context, tgt Target, prev *snmp.Config, opt *rol
 		res.Err = fmt.Errorf("configgen: no pre-image captured for %s, cannot roll back", tgt.InstanceID)
 		return res
 	}
-	tctx, tcancel := opt.targetContext(rctx)
-	defer tcancel()
-
 	s, err := opt.open(tgt)
 	if err == nil {
 		defer s.close()
 		if unlessLive {
-			if live, ferr := s.fetch(tctx); ferr == nil && live.Digest() == prev.Digest() {
+			if live, ferr := s.fetch(rctx); ferr == nil && live.Digest() == prev.Digest() {
 				res.Status = StatusRolledBack
 				res.Digest = prev.Digest()
 				res.Resumed = true // nothing applied; the pre-image was already live
 				return res
 			}
 		}
-		res.Attempts, err = s.install(tctx, prev)
+		res.Attempts, err = s.install(rctx, prev)
 	}
 	if err != nil {
 		res.Status = StatusFailed

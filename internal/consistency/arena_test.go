@@ -1,9 +1,12 @@
 package consistency
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+
+	"nmsl/internal/obs"
 )
 
 // clustersSpec generates n independent agent/poller clusters (the
@@ -65,7 +68,7 @@ func testSteadyStateZeroAlloc(t *testing.T, workers int) {
 		t.Fatalf("fixture should be consistent: %s", rep.Summary())
 	}
 
-	shards := shardRefs(m.Refs, workers)
+	shards := shardRefs(nil, m.Refs, workers)
 	start := make([]chan struct{}, len(shards))
 	done := make(chan struct{}, len(shards))
 	stop := make(chan struct{})
@@ -120,7 +123,9 @@ func TestCheckSteadyStateZeroAlloc(t *testing.T) {
 // — the report, the delta sets and the scratch — never O(refs). The old
 // implementation built a map entry per violating reference and a
 // map-backed dirty set per call; the cursor replay and the reusable
-// dirty bitset make the per-reference replay free.
+// dirty bitset make the per-reference replay free. The serial Check and
+// a one-worker CheckContext share the bound: a pool of one runs inline,
+// with no goroutine, channel or per-shard staging copy.
 func TestCheckDeltaWarmAllocsBounded(t *testing.T) {
 	m := buildModel(t, clustersSpec(24))
 	chk := NewChecker(m)
@@ -133,14 +138,19 @@ func TestCheckDeltaWarmAllocsBounded(t *testing.T) {
 	if !rep.Consistent() {
 		t.Fatalf("delta re-check should be consistent: %s", rep.Summary())
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		prev = chk.CheckDelta(prev, delta)
-	})
-	// The budget is a fixed handful (report + delta sets + re-checked
-	// ref's messages are cached as hits after the first pass); what
-	// matters is that it does not scale with the model's 48 references.
-	if allocs > 16 {
-		t.Errorf("warm CheckDelta allocates %v per run, want O(1) (<= 16)", allocs)
+	for name, run := range map[string]func(){
+		"warm CheckDelta": func() { prev = chk.CheckDelta(prev, delta) },
+		"Checker.Check":   func() { chk.Check() },
+		"CheckContext(Workers: 1, metrics off)": func() {
+			_, _ = CheckContext(context.Background(), m, Options{Workers: 1, Metrics: obs.Disabled})
+		},
+	} {
+		// The budget is a fixed handful (report + delta sets + re-checked
+		// ref's messages are cached as hits after the first pass); what
+		// matters is that it does not scale with the model's 48 references.
+		if allocs := testing.AllocsPerRun(20, run); allocs > 16 {
+			t.Errorf("%s allocates %v per run, want O(1) (<= 16)", name, allocs)
+		}
 	}
 }
 

@@ -106,76 +106,17 @@ func NewResultCache() *ResultCache {
 	return rc
 }
 
-// stripe picks the stripe for a key.
-func (rc *ResultCache) stripe(key string) *cacheStripe {
-	return &rc.stripes[rc.stripeIndex(key)]
-}
-
-// get returns the live entry for the key, or nil.
-func (rc *ResultCache) get(key string) *cacheEntry {
-	s := rc.stripe(key)
-	s.mu.RLock()
-	ent := s.entries[key]
-	s.mu.RUnlock()
-	return ent
-}
-
-// probe resolves a key/fingerprint pair against the entry map and
-// stamps the recency clock on a hit; the caller accounts the outcome
-// (+1 = hit, 0 = miss, -1 = stale fingerprint).
-func (rc *ResultCache) probe(key string, fp [32]byte) ([]cachedViolation, int) {
-	ent := rc.get(key)
-	if ent == nil {
-		return nil, 0
-	}
-	if ent.fp != fp {
-		return nil, -1
-	}
-	ent.used.Store(rc.tick.Add(1))
-	return ent.vs, 1
-}
-
-// lookup returns the cached violations for the key when the fingerprint
-// matches, counting hit/miss/invalidation on the shared counters. The
-// sharded checker uses lookupBatched instead.
-func (rc *ResultCache) lookup(key string, fp [32]byte) ([]cachedViolation, bool) {
-	vs, outcome := rc.probe(key, fp)
-	switch outcome {
-	case 1:
-		rc.hits.Add(1)
-		return vs, true
-	case -1:
-		rc.invalidations.Add(1)
-	default:
-		rc.misses.Add(1)
-	}
-	return nil, false
-}
-
-// lookupBatched is lookup with the counter updates deferred to the
-// worker-local batch (folded in by Checker.flush).
-func (rc *ResultCache) lookupBatched(key string, fp [32]byte, b *cacheBatch) ([]cachedViolation, bool) {
-	vs, outcome := rc.probe(key, fp)
-	switch outcome {
-	case 1:
-		b.hits++
-		return vs, true
-	case -1:
-		b.invalidations++
-	default:
-		b.misses++
-	}
-	return nil, false
-}
-
-// lookupBatchedBytes is lookupBatched over a key still in its scratch
-// byte buffer. The map probe goes through the compiler's zero-copy
-// string(key) lookup form, so a warm hit materializes no key string —
-// this is what keeps the steady-state cached check allocation-free per
-// reference (checkRefCached builds the key with Ref.appendKey and only
-// the cold store path pays for a real string).
+// lookupBatchedBytes returns the cached violations for a key still in
+// its scratch byte buffer when the fingerprint matches, stamping the
+// recency clock on a hit and counting the outcome in the worker-local
+// batch (folded in by Checker.flush). The map probe goes through the
+// compiler's zero-copy string(key) lookup form, so a warm hit
+// materializes no key string — this is what keeps the steady-state
+// cached check allocation-free per reference (checkRefCached builds the
+// key with Ref.appendKey and only the cold store path pays for a real
+// string).
 func (rc *ResultCache) lookupBatchedBytes(key []byte, fp [32]byte, b *cacheBatch) ([]cachedViolation, bool) {
-	s := &rc.stripes[rc.stripeIndexBytes(key)]
+	s := &rc.stripes[stripeIndex(key)]
 	s.mu.RLock()
 	ent := s.entries[string(key)]
 	s.mu.RUnlock()
@@ -199,7 +140,7 @@ func (rc *ResultCache) lookupBatchedBytes(key []byte, fp [32]byte, b *cacheBatch
 func (rc *ResultCache) store(key string, fp [32]byte, vs []cachedViolation) {
 	ent := &cacheEntry{fp: fp, vs: vs}
 	ent.used.Store(rc.tick.Add(1))
-	s := rc.stripe(key)
+	s := &rc.stripes[stripeIndex(key)]
 	s.mu.Lock()
 	_, existed := s.entries[key]
 	s.entries[key] = ent
@@ -362,7 +303,7 @@ func (rc *ResultCache) LoadFile(path string) error {
 		ent := &cacheEntry{vs: fe.Violations}
 		copy(ent.fp[:], fp)
 		ent.used.Store(rc.tick.Add(1))
-		fresh[rc.stripeIndex(k)][k] = ent
+		fresh[stripeIndex(k)][k] = ent
 	}
 	rc.confMu.Lock()
 	total := 0
@@ -381,19 +322,10 @@ func (rc *ResultCache) LoadFile(path string) error {
 	return nil
 }
 
-// stripeIndex hashes the key (FNV-1a) onto a stripe index.
-func (rc *ResultCache) stripeIndex(key string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % cacheStripes)
-}
-
-// stripeIndexBytes is stripeIndex for a key that is still a byte slice
-// (same hash, so the two lookup paths always agree on the stripe).
-func (rc *ResultCache) stripeIndexBytes(key []byte) int {
+// stripeIndex hashes a key (FNV-1a) onto a stripe index. It takes the
+// key as a string or as the byte buffer it is built in, so the store
+// and lookup paths always agree on the stripe.
+func stripeIndex[K string | []byte](key K) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])

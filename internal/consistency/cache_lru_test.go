@@ -12,6 +12,13 @@ func fpOf(i int) (fp [32]byte) {
 	return
 }
 
+// hit probes the cache the way the checker does, through
+// lookupBatchedBytes, and reports whether the key/fingerprint hit.
+func hit(rc *ResultCache, key string, fp [32]byte) bool {
+	_, ok := rc.lookupBatchedBytes([]byte(key), fp, &cacheBatch{})
+	return ok
+}
+
 // TestLRUCapEvictsOldest fills a capped cache past its hysteresis
 // threshold and asserts the least-recently-used entries go first.
 func TestLRUCapEvictsOldest(t *testing.T) {
@@ -22,7 +29,7 @@ func TestLRUCapEvictsOldest(t *testing.T) {
 	}
 	// Touch the first four so the untouched k04..k07 become the LRU end.
 	for i := 0; i < 4; i++ {
-		if _, ok := rc.lookup(fmt.Sprintf("k%02d", i), fpOf(i)); !ok {
+		if !hit(rc, fmt.Sprintf("k%02d", i), fpOf(i)) {
 			t.Fatalf("k%02d should hit", i)
 		}
 	}
@@ -39,12 +46,12 @@ func TestLRUCapEvictsOldest(t *testing.T) {
 	}
 	// The recently-touched entries survived; the untouched ones did not.
 	for i := 0; i < 4; i++ {
-		if _, ok := rc.lookup(fmt.Sprintf("k%02d", i), fpOf(i)); !ok {
+		if !hit(rc, fmt.Sprintf("k%02d", i), fpOf(i)) {
 			t.Errorf("recently-used k%02d was evicted", i)
 		}
 	}
 	for i := 4; i < 7; i++ {
-		if _, ok := rc.lookup(fmt.Sprintf("k%02d", i), fpOf(i)); ok {
+		if hit(rc, fmt.Sprintf("k%02d", i), fpOf(i)) {
 			t.Errorf("LRU k%02d should have been evicted", i)
 		}
 	}
@@ -65,7 +72,7 @@ func TestSetMaxEntriesTrimsImmediately(t *testing.T) {
 	}
 	// The five most recent stores are the survivors.
 	for i := 15; i < 20; i++ {
-		if _, ok := rc.lookup(fmt.Sprintf("k%02d", i), fpOf(i)); !ok {
+		if !hit(rc, fmt.Sprintf("k%02d", i), fpOf(i)) {
 			t.Errorf("most-recent k%02d was evicted", i)
 		}
 	}

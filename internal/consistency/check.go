@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -77,8 +78,8 @@ type Report struct {
 	RefsChecked int
 	// Metrics is this run's observability snapshot — shard timings,
 	// worker occupancy, refs and violation counts (the MetricCheck*
-	// names in shard.go). Set by CheckContext; nil from the serial
-	// Check/CheckLogic paths and when Options.Metrics is obs.Disabled.
+	// names in shard.go). Set by CheckContext; nil from Checker.Check
+	// and CheckDelta and when Options.Metrics is obs.Disabled.
 	Metrics obs.Snapshot
 }
 
@@ -337,7 +338,7 @@ func (c *Checker) checkRef(ref *Ref, out *[]Violation, sc *scratch) {
 }
 
 // unresolvedViolation renders one unresolved query target as a
-// violation; shared by the serial and sharded checkers of both engines.
+// violation for the check loop's tail.
 func unresolvedViolation(u *UnresolvedTarget) Violation {
 	return Violation{
 		Kind:       KindUnresolvedTarget,
@@ -347,23 +348,34 @@ func unresolvedViolation(u *UnresolvedTarget) Violation {
 	}
 }
 
-// Check runs the full consistency check.
+// Check runs the full consistency check: the one check loop as a pool
+// of one, metrics off, over this checker's Cache and DisableIndex.
 func (c *Checker) Check() *Report {
-	rep := &Report{Model: c.m}
 	var sc scratch
-	for i := range c.m.Refs {
-		c.checkRefWith(&c.m.Refs[i], &rep.Violations, &sc)
-	}
+	rep := c.serial(func(ref *Ref, out *[]Violation) { c.checkRefWith(ref, out, &sc) })
 	c.flush(&sc)
-	rep.RefsChecked = len(c.m.Refs)
-	c.checkProxies(&rep.Violations)
-	for i := range c.m.Unresolved {
-		rep.Violations = append(rep.Violations, unresolvedViolation(&c.m.Unresolved[i]))
+	return rep
+}
+
+// serial runs step through the one check loop as a pool of one with
+// metrics off. Its callers return no error, so a panic in step is raised
+// again here rather than returned as a partial Report.
+func (c *Checker) serial(step refChecker) *Report {
+	var buf [shardsPerWorker][2]int // the shards stay on the stack
+	r := run{m: c.m, chk: c}
+	rep := &Report{Model: c.m}
+	ctx := context.Background()
+	err := r.inline(ctx, rep, step, shardRefs(buf[:0], c.m.Refs, shardsPerWorker))
+	if err == nil {
+		err = r.tail(ctx, rep)
+	}
+	if err != nil {
+		panic(err)
 	}
 	return rep
 }
 
-// Check is the convenience entry point: build the model and run the
-// indexed checker serially. It is equivalent to CheckContext with a
-// background context and one worker.
+// Check is the convenience entry point: run the indexed checker
+// serially. It is equivalent to CheckContext with a background context,
+// one worker and metrics off.
 func Check(m *Model) *Report { return NewChecker(m).Check() }

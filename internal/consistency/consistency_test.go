@@ -71,7 +71,7 @@ func TestPaperSpecConsistent(t *testing.T) {
 	if rep.RefsChecked != 2 {
 		t.Errorf("refs checked %d", rep.RefsChecked)
 	}
-	rep2 := CheckLogic(m)
+	rep2 := checkParallel(t, m, Options{Workers: 1, Engine: EngineLogic})
 	if !rep2.Consistent() {
 		t.Fatalf("logic checker disagrees:\n%s", rep2)
 	}
@@ -363,7 +363,7 @@ func crossValidate(t *testing.T, src string) {
 	t.Helper()
 	m := buildModel(t, src)
 	a := Check(m)
-	b := CheckLogic(m)
+	b := checkParallel(t, m, Options{Workers: 1, Engine: EngineLogic})
 	key := func(v Violation) string {
 		refStr := ""
 		if v.Ref != nil {

@@ -197,17 +197,15 @@ func (c *Checker) CheckDelta(prev *Report, delta *ModelDelta) *Report {
 	// construction, a verdict). The same-model warm path — the steady
 	// state of a long-lived checker — needs no grouping structure at
 	// all: violations are appended per reference in a contiguous run in
-	// exactly the order the replay loop below scans, so a single cursor
-	// over prev.Violations reconstructs each reference's previous
-	// verdict without hashing anything.
-	sameModel := prev.Model == c.m
-	var prevByKey map[string][][]Violation
-	var prevKeys map[string]bool
-	if !sameModel {
-		prevByKey = map[string][][]Violation{}
-		prevKeys = make(map[string]bool, len(prev.Model.Refs))
+	// exactly the order the step is called in, so a single cursor over
+	// prev.Violations reconstructs each reference's previous verdict
+	// without hashing anything.
+	d := deltaState{sameModel: prev.Model == c.m, pv: prev.Violations}
+	if !d.sameModel {
+		d.prevByKey = map[string][][]Violation{}
+		d.prevKeys = make(map[string]bool, len(prev.Model.Refs))
 		for i := range prev.Model.Refs {
-			prevKeys[prev.Model.Refs[i].Key()] = true
+			d.prevKeys[prev.Model.Refs[i].Key()] = true
 		}
 		for i := 0; i < len(prev.Violations); {
 			v := prev.Violations[i]
@@ -220,59 +218,65 @@ func (c *Checker) CheckDelta(prev *Report, delta *ModelDelta) *Report {
 				j++
 			}
 			k := v.Ref.Key()
-			prevByKey[k] = append(prevByKey[k], prev.Violations[i:j])
+			d.prevByKey[k] = append(d.prevByKey[k], prev.Violations[i:j])
 			i = j
 		}
 	}
-
-	rep := &Report{Model: c.m}
-	var sc scratch
-	var dirty, replayed int64
 	c.deltaBits = ds.dirtyBits(c.m, c.deltaBits)
-	bits := c.deltaBits
-	pv := prev.Violations
-	cur := 0
-	for i := range c.m.Refs {
-		ref := &c.m.Refs[i]
+	d.bits = c.deltaBits
+	// The cursor is sequential, so the step runs as a pool of one.
+	rep := c.serial(func(ref *Ref, out *[]Violation) {
 		var group []Violation
-		if sameModel && cur < len(pv) && pv[cur].Ref == ref {
-			j := cur + 1
-			for j < len(pv) && pv[j].Ref == ref {
+		if d.sameModel && d.cur < len(d.pv) && d.pv[d.cur].Ref == ref {
+			j := d.cur + 1
+			for j < len(d.pv) && d.pv[j].Ref == ref {
 				j++
 			}
-			group, cur = pv[cur:j], j
+			group, d.cur = d.pv[d.cur:j], j
 		}
-		clean := !dirtyBit(bits, ref.Source.idx) && !dirtyBit(bits, ref.Target.idx)
-		if clean && !sameModel {
-			if key := ref.Key(); prevKeys[key] {
-				if gs := prevByKey[key]; len(gs) > 0 {
+		clean := !dirtyBit(d.bits, ref.Source.idx) && !dirtyBit(d.bits, ref.Target.idx)
+		if clean && !d.sameModel {
+			if key := ref.Key(); d.prevKeys[key] {
+				if gs := d.prevByKey[key]; len(gs) > 0 {
 					group = gs[0]
-					prevByKey[key] = gs[1:]
+					d.prevByKey[key] = gs[1:]
 				}
 			} else {
 				clean = false // reference did not exist before
 			}
 		}
 		if !clean {
-			dirty++
-			c.checkRefWith(ref, &rep.Violations, &sc)
-			continue
+			d.dirty++
+			c.checkRefWith(ref, out, &d.sc)
+			return
 		}
-		replayed++
 		for _, v := range group {
 			v.Ref = ref
-			rep.Violations = append(rep.Violations, v)
+			*out = append(*out, v)
 		}
-	}
-	c.flush(&sc)
-	rep.RefsChecked = len(c.m.Refs)
-	c.checkProxies(&rep.Violations)
-	for i := range c.m.Unresolved {
-		rep.Violations = append(rep.Violations, unresolvedViolation(&c.m.Unresolved[i]))
-	}
+	})
+	c.flush(&d.sc)
 	if obs.Default.Enabled() {
-		obs.Default.Counter(MetricCheckDeltaDirty).Add(dirty)
-		obs.Default.Counter(MetricCheckDeltaReplayed).Add(replayed)
+		obs.Default.Counter(MetricCheckDeltaDirty).Add(d.dirty)
+		obs.Default.Counter(MetricCheckDeltaReplayed).Add(int64(rep.RefsChecked) - d.dirty)
 	}
 	return rep
+}
+
+// deltaState is CheckDelta's per-reference step state, in one struct so
+// that the step's closure captures one pointer: a closure loads every
+// captured variable on entry, and this one runs per reference.
+type deltaState struct {
+	sc scratch
+	// bits marks the dirty instances.
+	bits []uint64
+	// On the same model, cur walks the previous violations pv; after a
+	// rebuild, prevKeys and prevByKey hold the previous references and
+	// their violation groups.
+	sameModel bool
+	pv        []Violation
+	cur       int
+	prevKeys  map[string]bool
+	prevByKey map[string][][]Violation
+	dirty     int64
 }

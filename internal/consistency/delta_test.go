@@ -23,9 +23,21 @@ func checkDeltaPair(t *testing.T, oldSrc, newSrc string, cache *ResultCache) (*R
 	return got, want
 }
 
-// TestCheckDeltaParity: for every mutation class, the incremental
-// re-check must render byte-identically to a full check of the edited
-// specification.
+// inModel reports whether ref is one of m's references.
+func inModel(m *Model, ref *Ref) bool {
+	for i := range m.Refs {
+		if &m.Refs[i] == ref {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCheckDeltaParity: for every mutation class, every CheckDelta path
+// — against the old revision's report on the rebuilt model, against the
+// new revision's own report with an empty delta, and the nil and Full
+// fallbacks — must render byte-identically to a full check of the edited
+// specification, with every violation pointing into the current model.
 func TestCheckDeltaParity(t *testing.T) {
 	edits := map[string]func(string) string{
 		"no-op reformat": func(s string) string {
@@ -63,11 +75,27 @@ func TestCheckDeltaParity(t *testing.T) {
 				t.Fatal("edit did not apply")
 			}
 			got, want := checkDeltaPair(t, twoClusterSpec, newSrc, NewResultCache())
-			if got.String() != want.String() {
-				t.Errorf("delta re-check diverges:\n got: %s\nwant: %s", got, want)
+			m := want.Model
+			chk := NewChecker(m)
+			paths := map[string]*Report{
+				"rebuilt model": got,
+				"empty delta":   chk.CheckDelta(want, &ModelDelta{}),
+				"nil prev":      chk.CheckDelta(nil, &ModelDelta{}),
+				"nil delta":     chk.CheckDelta(want, nil),
+				"full delta":    chk.CheckDelta(want, &ModelDelta{Full: true}),
 			}
-			if got.RefsChecked != want.RefsChecked {
-				t.Errorf("RefsChecked = %d, want %d", got.RefsChecked, want.RefsChecked)
+			for path, got := range paths {
+				if got.String() != want.String() {
+					t.Errorf("%s: delta re-check diverges:\n got: %s\nwant: %s", path, got, want)
+				}
+				if got.RefsChecked != want.RefsChecked {
+					t.Errorf("%s: RefsChecked = %d, want %d", path, got.RefsChecked, want.RefsChecked)
+				}
+				for _, v := range got.Violations {
+					if v.Ref != nil && !inModel(m, v.Ref) {
+						t.Errorf("%s: %s points outside the current model", path, v)
+					}
+				}
 			}
 		})
 	}
@@ -93,7 +121,7 @@ func TestCheckDeltaReplaysViolations(t *testing.T) {
 	}
 	if vs := got.ByKind(KindFrequencyViolation); len(vs) != 1 {
 		t.Fatalf("expected the west frequency violation to survive: %s", got)
-	} else if vs[0].Ref == nil || !strings.Contains(vs[0].Ref.Source.ID, "host-w") {
+	} else if vs[0].Ref == nil || !strings.Contains(vs[0].Ref.Source.ID, "host-w") || !inModel(got.Model, vs[0].Ref) {
 		t.Errorf("replayed violation not rebound to the new model's ref: %+v", vs[0])
 	}
 }

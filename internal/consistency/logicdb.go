@@ -336,43 +336,6 @@ func logicCheckRef(m *Model, s *logic.Solver, r *Ref, out *[]Violation) {
 	}
 }
 
-// CheckLogic runs the consistency check through the logic engine: for
-// every reference it proves (or fails to prove) the reduction rules and
-// classifies the failure. Its verdicts must agree with the indexed Check;
-// tests cross-validate the two. It is equivalent to CheckContext with
-// EngineLogic, a background context and one worker.
-func CheckLogic(m *Model) *Report {
-	db := BuildDB(m)
-	s := logic.NewSolver(db)
-	rep := &Report{Model: m}
-	for i := range m.Refs {
-		logicCheckRef(m, s, &m.Refs[i], &rep.Violations)
-	}
-	rep.RefsChecked = len(m.Refs)
-	for i := range m.Unresolved {
-		rep.Violations = append(rep.Violations, unresolvedViolation(&m.Unresolved[i]))
-	}
-	return rep
-}
-
-// CheckLogicRecursive is CheckLogic over the recursive rule base
-// (BuildDBRecursive) — the paper's transitivity rules evaluated top-down
-// per query instead of the materialized closure tables. It is the parity
-// oracle: its Report must be byte-identical to CheckLogic's.
-func CheckLogicRecursive(m *Model) *Report {
-	db := BuildDBRecursive(m)
-	s := logic.NewSolver(db)
-	rep := &Report{Model: m}
-	for i := range m.Refs {
-		logicCheckRef(m, s, &m.Refs[i], &rep.Violations)
-	}
-	rep.RefsChecked = len(m.Refs)
-	for i := range m.Unresolved {
-		rep.Violations = append(rep.Violations, unresolvedViolation(&m.Unresolved[i]))
-	}
-	return rep
-}
-
 // AdmissiblePeriods solves the consistency check in reverse (the paper's
 // speculative use of CLP(R), section 4.2): given a prospective reference
 // from srcID to data var on tgtID at the given access mode, it returns

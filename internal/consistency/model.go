@@ -11,15 +11,15 @@
 //
 // Two equivalent evaluators are provided:
 //
-//   - CheckLogic proves each reference through the CLP(R)-style engine
+//   - EngineLogic proves each reference through the CLP(R)-style engine
 //     (internal/logic) against a fact/rule base compiled from the
 //     specification, exactly as the paper's front-end-to-CLP(R) design
 //     describes;
-//   - Check evaluates the same relations with Go-side indexes (permissions
-//     indexed by grantor), which is what lets the checker scale to the
-//     paper's 10,000-domain goal.
+//   - EngineIndexed (Check) evaluates the same relations with Go-side
+//     indexes (permissions indexed by grantor), which is what lets the
+//     checker scale to the paper's 10,000-domain goal.
 //
-// Tests cross-validate the two on generated specifications.
+// Both run through one check loop (shard.go); tests cross-validate them.
 //
 // Consistency semantics (documented in DESIGN.md):
 //

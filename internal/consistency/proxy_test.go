@@ -51,7 +51,13 @@ end domain machineRoom.
 
 func buildWithProxy(t *testing.T, src string) *Model {
 	t.Helper()
-	exts, err := extension.ParseFile("ext", proxyExt)
+	return buildWithExt(t, proxyExt, src)
+}
+
+// buildWithExt compiles src with the NMSL/EXT declarations ext installed.
+func buildWithExt(t *testing.T, ext, src string) *Model {
+	t.Helper()
+	exts, err := extension.ParseFile("ext", ext)
 	if err != nil {
 		t.Fatal(err)
 	}

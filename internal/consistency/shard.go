@@ -2,9 +2,13 @@ package consistency
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmsl/internal/logic"
@@ -20,7 +24,9 @@ import (
 // references against one target share permission-index lookups), and a
 // bounded worker pool checks shards concurrently. Shard results are
 // merged in shard order, which by construction reproduces the serial
-// checker's violation order byte for byte.
+// scan's violation order byte for byte. A pool of one runs inline on
+// the caller's goroutine, which is how Checker.Check and CheckDelta use
+// the same loop without paying for a pool.
 
 // Engine selects which evaluator CheckContext runs.
 type Engine int
@@ -92,13 +98,14 @@ const shardsPerWorker = 4
 const cancelStride = 32
 
 // shardRefs partitions the ref index space [0, len(refs)) into at most
-// nshards contiguous ranges. Boundaries are advanced to the end of the
-// current target-instance run, so all references against one target
-// stay in one shard (its permission neighborhood is checked together).
-func shardRefs(refs []Ref, nshards int) [][2]int {
+// nshards contiguous ranges, appended to dst. Boundaries are advanced to
+// the end of the current target-instance run, so all references against
+// one target stay in one shard (its permission neighborhood is checked
+// together).
+func shardRefs(dst [][2]int, refs []Ref, nshards int) [][2]int {
 	n := len(refs)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	if nshards < 1 {
 		nshards = 1
@@ -106,7 +113,7 @@ func shardRefs(refs []Ref, nshards int) [][2]int {
 	if nshards > n {
 		nshards = n
 	}
-	shards := make([][2]int, 0, nshards)
+	shards := slices.Grow(dst, nshards)
 	start := 0
 	for s := 1; s <= nshards && start < n; s++ {
 		end := s * n / nshards
@@ -121,13 +128,6 @@ func shardRefs(refs []Ref, nshards int) [][2]int {
 	}
 	return shards
 }
-
-// refChecker evaluates one reference, appending violations in rule
-// order. Implementations must be safe for concurrent use by the worker
-// that owns them over a read-only Model. The accompanying flush (from
-// newWorker) folds the worker's batched counters into shared state and
-// must be called once when the worker exits.
-type refChecker func(ref *Ref, out *[]Violation)
 
 // Metric names recorded by CheckContext. Durations are nanoseconds.
 // Shard-granularity instrumentation keeps the per-reference hot loop
@@ -144,32 +144,249 @@ const (
 	MetricCheckWorkerBusy    = "nmsl_check_worker_busy_ns"
 )
 
+// refChecker evaluates one reference, appending its violations in rule
+// order. A worker's refChecker is used by that worker alone, over a
+// read-only Model.
+type refChecker func(ref *Ref, out *[]Violation)
+
+// run is one check's shared state. Its shard loop (shard) and tail
+// (tail) are the only code that walks Model.Refs for a verdict; the
+// entry points differ only in options and in the per-reference step
+// they hand it. The context, the Report and the OnViolation lock are
+// arguments, not fields, so that the serial paths' run and Checker stay
+// on the stack (escape analysis is field-insensitive).
+type run struct {
+	m *Model
+	// opts supplies OnViolation and FailFast; the engine, cache and
+	// index options are already bound into the step.
+	opts Options
+	// chk appends the proxy tail; nil under the logic engines.
+	chk *Checker
+	// halt stops scheduling: set by FailFast and by a worker's panic.
+	halt atomic.Bool
+	// mon gates every clock read; the instruments are nil without it.
+	mon                  bool
+	shardDur, workerBusy *obs.Histogram
+	shardsDone           *obs.Counter
+}
+
+// worker is one worker's own state. Its shard-level observations merge
+// into the run's instruments once, when the worker exits, so the shard
+// loop shares no counter line with the other workers.
+type worker struct {
+	// emitMu serializes OnViolation across a parallel pool's workers;
+	// nil inline, where nothing can overlap.
+	emitMu *sync.Mutex
+	dur    *obs.Histogram
+	busy   time.Duration
+	shards int64
+}
+
+func (r *run) startWorker(emitMu *sync.Mutex) worker {
+	w := worker{emitMu: emitMu}
+	if r.mon {
+		w.dur = obs.NewHistogram()
+	}
+	return w
+}
+
+func (r *run) merge(w *worker) {
+	if r.mon {
+		r.shardDur.Merge(w.dur)
+		r.shardsDone.Add(w.shards)
+		r.workerBusy.Observe(int64(w.busy))
+	}
+}
+
+// emit streams violations to the caller as found, under mu if set.
+func (r *run) emit(mu *sync.Mutex, vs []Violation) {
+	if r.opts.OnViolation == nil || len(vs) == 0 {
+		return
+	}
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	for _, v := range vs {
+		r.opts.OnViolation(v)
+	}
+}
+
+// shard checks the references [lo, hi) with step, appending violations
+// to out, and returns how many it checked. It polls for a halt or a
+// cancelled ctx every cancelStride references.
+func (r *run) shard(ctx context.Context, step refChecker, lo, hi int, out *[]Violation, w *worker) int {
+	var t0 time.Time
+	if r.mon {
+		t0 = time.Now()
+	}
+	sp := obs.StartSpan("check.shard")
+	refs := r.m.Refs[lo:hi]
+	// Only streaming and FailFast look at each reference's verdict.
+	watch := r.opts.OnViolation != nil || r.opts.FailFast
+	n := 0
+	for n < len(refs) && !r.halt.Load() && ctx.Err() == nil {
+		for end := min(n+cancelStride, len(refs)); n < end; n++ {
+			before := len(*out)
+			step(&refs[n], out)
+			if watch && len(*out) > before {
+				r.emit(w.emitMu, (*out)[before:])
+				if r.opts.FailFast {
+					r.halt.Store(true)
+				}
+			}
+		}
+	}
+	if r.mon {
+		d := time.Since(t0)
+		w.busy += d
+		w.dur.Observe(int64(d))
+		w.shards++
+	}
+	if sp.Active() {
+		sp.Label("refs", strconv.Itoa(n))
+	}
+	sp.End()
+	return n
+}
+
+// inline is the pool of one: step checks the shards in order on the
+// caller's goroutine, appending straight into rep. A panic returns as a
+// *workerPanic.
+func (r *run) inline(ctx context.Context, rep *Report, step refChecker, shards [][2]int) error {
+	return guard(func() {
+		w := r.startWorker(nil)
+		for _, sh := range shards {
+			rep.RefsChecked += r.shard(ctx, step, sh[0], sh[1], &rep.Violations, &w)
+		}
+		r.merge(&w)
+	})
+}
+
+// parallel checks the shards over pool workers, each with its own step
+// from newStep, and merges their results in shard order: contiguous
+// shards concatenated in order are exactly the serial scan order. A
+// worker's panic halts the run, and the first one is returned once the
+// pool has drained.
+func (r *run) parallel(ctx context.Context, rep *Report, pool int, shards [][2]int, newStep func() (refChecker, func())) error {
+	results := make([][]Violation, len(shards))
+	checked := make([]int, len(shards))
+	emitMu := new(sync.Mutex)
+	work := make(chan int)
+	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked error
+	for range pool {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := r.startWorker(emitMu)
+			// stage is the worker's violation staging buffer, reused
+			// across its shards: a clean shard retains nothing, and a
+			// violating shard pays one exact-size copy.
+			var stage []Violation
+			err := guard(func() {
+				step, done := newStep()
+				defer done()
+				for si := range work {
+					stage = stage[:0]
+					checked[si] = r.shard(ctx, step, shards[si][0], shards[si][1], &stage, &w)
+					if len(stage) > 0 {
+						results[si] = slices.Clone(stage)
+					}
+				}
+			})
+			if err != nil {
+				r.halt.Store(true)
+				panicOnce.Do(func() { panicked = err })
+				for range work {
+					// Drain, so the feeder never blocks on a dead worker.
+				}
+			}
+			r.merge(&w)
+		}()
+	}
+	for si := range shards {
+		work <- si
+	}
+	close(work)
+	wg.Wait()
+	for si, vs := range results {
+		rep.Violations = append(rep.Violations, vs...)
+		rep.RefsChecked += checked[si]
+	}
+	return panicked
+}
+
+// tail appends the serial, cheap end of every check — proxy
+// relationships (indexed engine only) and unresolved targets — unless
+// the run was cancelled or stopped by FailFast.
+func (r *run) tail(ctx context.Context, rep *Report) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if r.opts.FailFast && len(rep.Violations) > 0 {
+		return nil
+	}
+	before := len(rep.Violations)
+	if r.chk != nil {
+		r.chk.checkProxies(&rep.Violations)
+	}
+	for i := range r.m.Unresolved {
+		rep.Violations = append(rep.Violations, unresolvedViolation(&r.m.Unresolved[i]))
+	}
+	return guard(func() { r.emit(nil, rep.Violations[before:]) })
+}
+
+// workerPanic is a panic recovered from a check worker, with the stack
+// it was raised on.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("consistency check panicked: %v\n\n%s", p.value, p.stack)
+}
+
+// guard runs fn and returns a panic inside it as a *workerPanic.
+func guard(fn func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &workerPanic{value: v, stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
 // CheckContext runs the consistency check over a bounded worker pool,
 // honoring ctx for cancellation and deadline. A completed run returns a
-// Report byte-identical to the serial Check (or CheckLogic, under
-// EngineLogic) regardless of worker count. When ctx is cancelled
-// mid-check the partial Report accumulated so far is returned together
-// with ctx.Err().
+// Report byte-identical to Check (or, under a logic engine, to the same
+// engine at one worker) regardless of worker count. When ctx is
+// cancelled mid-check the partial Report accumulated so far is returned
+// together with ctx.Err(). A panic in a worker, such as one raised by
+// OnViolation, halts the run and is returned as an error carrying the
+// panic value and the worker's stack, with the partial Report.
 func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	r := &run{m: m, opts: opts}
 	rep := &Report{Model: m}
 
 	// Observability. Run-scoped metrics accumulate in a private
 	// registry that is merged into the shared one (and snapshotted into
 	// the Report) at the end, so overlapping checks never bleed into
-	// each other's embedded numbers. When disabled, mon gates every
-	// clock read below.
+	// each other's embedded numbers. When disabled, r.mon gates every
+	// clock read.
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.Default
 	}
-	mon := reg.Enabled()
-	var run *obs.Registry
-	var shardDur, workerBusy *obs.Histogram
-	var shardsDone *obs.Counter
+	r.mon = reg.Enabled()
+	var runReg *obs.Registry
 	var start time.Time
 	// The label structs are only built when a sink is installed: on the
 	// disabled path StartSpan with no varargs is a true no-op (no slice,
@@ -181,34 +398,34 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 			obs.Label{Key: "workers", Value: strconv.Itoa(workers)})
 	}
 	var cs0 CacheStats
-	if mon {
+	if r.mon {
 		start = time.Now()
-		run = obs.NewRegistry()
-		shardDur = run.Histogram(MetricCheckShardDuration)
-		workerBusy = run.Histogram(MetricCheckWorkerBusy)
-		shardsDone = run.Counter(MetricCheckShards)
+		runReg = obs.NewRegistry()
+		r.shardDur = runReg.Histogram(MetricCheckShardDuration)
+		r.workerBusy = runReg.Histogram(MetricCheckWorkerBusy)
+		r.shardsDone = runReg.Counter(MetricCheckShards)
 		if opts.Cache != nil {
 			cs0 = opts.Cache.Stats()
 		}
 	}
 	defer func() {
-		if !mon {
+		if !r.mon {
 			sp.End()
 			return
 		}
 		if opts.Cache != nil {
 			cs1 := opts.Cache.Stats()
-			run.Counter(MetricCheckCacheHits).Add(cs1.Hits - cs0.Hits)
-			run.Counter(MetricCheckCacheMisses).Add(cs1.Misses - cs0.Misses)
-			run.Counter(MetricCheckCacheInvalidations).Add(cs1.Invalidations - cs0.Invalidations)
+			runReg.Counter(MetricCheckCacheHits).Add(cs1.Hits - cs0.Hits)
+			runReg.Counter(MetricCheckCacheMisses).Add(cs1.Misses - cs0.Misses)
+			runReg.Counter(MetricCheckCacheInvalidations).Add(cs1.Invalidations - cs0.Invalidations)
 		}
-		run.Counter(MetricCheckRuns).Inc()
-		run.Counter(MetricCheckRefs).Add(int64(rep.RefsChecked))
-		run.Counter(MetricCheckViolations).Add(int64(len(rep.Violations)))
-		run.Gauge(MetricCheckWorkers).Set(int64(workers))
-		run.Histogram(MetricCheckDuration).Observe(int64(time.Since(start)))
-		reg.Merge(run)
-		rep.Metrics = run.Snapshot()
+		runReg.Counter(MetricCheckRuns).Inc()
+		runReg.Counter(MetricCheckRefs).Add(int64(rep.RefsChecked))
+		runReg.Counter(MetricCheckViolations).Add(int64(len(rep.Violations)))
+		runReg.Gauge(MetricCheckWorkers).Set(int64(workers))
+		runReg.Histogram(MetricCheckDuration).Observe(int64(time.Since(start)))
+		reg.Merge(runReg)
+		rep.Metrics = runReg.Snapshot()
 		if sp.Active() {
 			sp.Label("refs", strconv.Itoa(rep.RefsChecked))
 			sp.Label("violations", strconv.Itoa(len(rep.Violations)))
@@ -219,9 +436,7 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 	// Per-engine worker construction. The indexed Checker is built once
 	// and shared (read-only after construction); the logic engine
 	// shares the fact/rule base and gives each worker a private solver.
-	var chk *Checker
-	var newWorker func() (refChecker, func())
-	noFlush := func() {}
+	var newStep func() (refChecker, func())
 	switch opts.Engine {
 	case EngineLogic, EngineLogicRecursive:
 		var db *logic.DB
@@ -230,34 +445,19 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 		} else {
 			db = BuildDBRecursive(m)
 		}
-		newWorker = func() (refChecker, func()) {
+		newStep = func() (refChecker, func()) {
 			s := logic.NewSolver(db)
-			return func(ref *Ref, out *[]Violation) { logicCheckRef(m, s, ref, out) }, noFlush
+			return func(ref *Ref, out *[]Violation) { logicCheckRef(m, s, ref, out) }, func() {}
 		}
 	default:
-		chk = NewChecker(m)
+		chk := NewChecker(m)
 		chk.DisableIndex = opts.DisableIndex
 		chk.Cache = opts.Cache
-		newWorker = func() (refChecker, func()) {
+		r.chk = chk
+		newStep = func() (refChecker, func()) {
 			sc := &scratch{}
 			return func(ref *Ref, out *[]Violation) { chk.checkRefWith(ref, out, sc) },
 				func() { chk.flush(sc) }
-		}
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// emit streams violations to the caller as they are found.
-	var emitMu sync.Mutex
-	emit := func(vs []Violation) {
-		if opts.OnViolation == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		for _, v := range vs {
-			opts.OnViolation(v)
 		}
 	}
 
@@ -266,120 +466,18 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 	// but the pool itself never exceeds GOMAXPROCS: the check is CPU
 	// bound, and goroutines beyond the core count only add scheduler
 	// churn and cross-worker cache traffic.
-	shards := shardRefs(m.Refs, workers*shardsPerWorker)
-	results := make([][]Violation, len(shards))
-	checked := make([]int, len(shards))
-	pool := workers
-	if mp := runtime.GOMAXPROCS(0); pool > mp {
-		pool = mp
+	shards := shardRefs(nil, m.Refs, workers*shardsPerWorker)
+	pool := min(workers, runtime.GOMAXPROCS(0), len(shards))
+	var err error
+	if pool <= 1 {
+		step, done := newStep()
+		err = r.inline(ctx, rep, step, shards)
+		done()
+	} else {
+		err = r.parallel(ctx, rep, pool, shards, newStep)
 	}
-	if pool > len(shards) {
-		pool = len(shards)
+	if err == nil {
+		err = r.tail(ctx, rep)
 	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			checkRef, flush := newWorker()
-			defer flush()
-			// Shard-level observations accumulate in worker-local
-			// instruments and merge into the run registry once when the
-			// worker exits, so the shard loop shares no counter lines
-			// with the other workers.
-			var busy time.Duration
-			var localShards int64
-			var localDur *obs.Histogram
-			if mon {
-				localDur = obs.NewHistogram()
-			}
-			// stage is the worker's violation staging buffer, reused
-			// across its shards (part of the per-worker arena): a clean
-			// shard stages and retains nothing, and a violating shard
-			// pays one exact-size copy instead of append regrowth into a
-			// retained slice.
-			var stage []Violation
-			// Workers drain the channel even after cancellation (each
-			// shard is then skipped immediately), so the feeder below
-			// never blocks on an exited pool.
-			for si := range work {
-				lo, hi := shards[si][0], shards[si][1]
-				var t0 time.Time
-				if mon {
-					t0 = time.Now()
-				}
-				ssp := obs.StartSpan("check.shard")
-				stage = stage[:0]
-				n := 0
-				for i := lo; i < hi; i++ {
-					if (i-lo)%cancelStride == 0 && runCtx.Err() != nil {
-						break
-					}
-					before := len(stage)
-					checkRef(&m.Refs[i], &stage)
-					n++
-					if len(stage) > before {
-						emit(stage[before:])
-						if opts.FailFast {
-							cancel()
-						}
-					}
-				}
-				if len(stage) > 0 {
-					vs := make([]Violation, len(stage))
-					copy(vs, stage)
-					results[si] = vs
-				}
-				checked[si] = n
-				if mon {
-					d := time.Since(t0)
-					busy += d
-					localDur.Observe(int64(d))
-					localShards++
-				}
-				if ssp.Active() {
-					ssp.Label("refs", strconv.Itoa(n))
-				}
-				ssp.End()
-			}
-			if mon {
-				shardDur.Merge(localDur)
-				shardsDone.Add(localShards)
-				workerBusy.Observe(int64(busy))
-			}
-		}()
-	}
-	for si := range shards {
-		work <- si
-	}
-	close(work)
-	wg.Wait()
-
-	// Merge in shard order: contiguous shards concatenated in order are
-	// exactly the serial scan order.
-	for si, vs := range results {
-		rep.Violations = append(rep.Violations, vs...)
-		rep.RefsChecked += checked[si]
-	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	if opts.FailFast && len(rep.Violations) > 0 {
-		return rep, nil
-	}
-
-	// Tail phase, serial and cheap: proxy relationships (indexed engine
-	// only, matching the serial checkers) and unresolved targets.
-	before := len(rep.Violations)
-	if chk != nil {
-		chk.checkProxies(&rep.Violations)
-	}
-	for i := range m.Unresolved {
-		u := &m.Unresolved[i]
-		rep.Violations = append(rep.Violations, unresolvedViolation(u))
-	}
-	emit(rep.Violations[before:])
-	return rep, nil
+	return rep, err
 }

@@ -2,9 +2,15 @@ package consistency
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"nmsl/internal/logic"
+	"nmsl/internal/obs"
 	"nmsl/internal/paperspec"
 )
 
@@ -29,7 +35,7 @@ func TestShardRefsCoverAndAlign(t *testing.T) {
 		refs = append(refs, Ref{Target: tgt})
 	}
 	for nshards := 1; nshards <= 8; nshards++ {
-		shards := shardRefs(refs, nshards)
+		shards := shardRefs(nil, refs, nshards)
 		next := 0
 		for _, sh := range shards {
 			if sh[0] != next || sh[1] <= sh[0] {
@@ -44,30 +50,110 @@ func TestShardRefsCoverAndAlign(t *testing.T) {
 			t.Fatalf("nshards=%d: shards %v do not cover %d refs", nshards, shards, len(refs))
 		}
 	}
-	if got := shardRefs(nil, 4); got != nil {
+	if got := shardRefs(nil, nil, 4); got != nil {
 		t.Fatalf("empty refs: %v", got)
 	}
 }
 
-// TestParallelParity asserts the sharded checker reproduces the serial
-// Report byte for byte at every worker count, for both engines, on
-// consistent and inconsistent specifications.
+// serialCheck is the reference the one check loop is held to: checkRef
+// per reference in model order, then the proxy and unresolved-target
+// tail — the serial checker the loop replaced, kept here as the oracle.
+func serialCheck(m *Model, disableIndex bool) *Report {
+	chk := NewChecker(m)
+	chk.DisableIndex = disableIndex
+	rep := &Report{Model: m}
+	var sc scratch
+	for i := range m.Refs {
+		chk.checkRef(&m.Refs[i], &rep.Violations, &sc)
+	}
+	rep.RefsChecked = len(m.Refs)
+	chk.checkProxies(&rep.Violations)
+	for i := range m.Unresolved {
+		rep.Violations = append(rep.Violations, unresolvedViolation(&m.Unresolved[i]))
+	}
+	return rep
+}
+
+// serialLogicCheck is serialCheck for a logic engine: one solver over
+// db, logicCheckRef per reference, then the unresolved-target tail (the
+// logic engines never checked proxies).
+func serialLogicCheck(m *Model, db *logic.DB) *Report {
+	s := logic.NewSolver(db)
+	rep := &Report{Model: m}
+	for i := range m.Refs {
+		logicCheckRef(m, s, &m.Refs[i], &rep.Violations)
+	}
+	rep.RefsChecked = len(m.Refs)
+	for i := range m.Unresolved {
+		rep.Violations = append(rep.Violations, unresolvedViolation(&m.Unresolved[i]))
+	}
+	return rep
+}
+
+// parityModels is the parity tables' input: the paper's specification,
+// the package's inconsistent fixtures, and every testdata specification
+// compiled with the proxies extension installed.
+func parityModels(t *testing.T) map[string]*Model {
+	t.Helper()
+	models := map[string]*Model{
+		"paper":          buildModel(t, paperspec.Combined),
+		"withoutExports": buildModel(t, withoutExports),
+		"freq":           buildModel(t, freqSpec),
+		"proxy":          buildWithProxy(t, proxySpecSrc),
+	}
+	ext, err := os.ReadFile("../../testdata/proxy.nmslext")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob("../../testdata/*.nmsl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata specifications: %v", err)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[filepath.Base(path)] = buildWithExt(t, string(ext), string(src))
+	}
+	return models
+}
+
+// TestParallelParity holds the one check loop to the serial oracles: a
+// Report byte-identical to serialCheck (or serialLogicCheck) from
+// Check, Checker.Check, CheckDelta's full fallback and CheckContext at
+// every worker count, for every engine, on consistent and inconsistent
+// specifications.
 func TestParallelParity(t *testing.T) {
-	for name, src := range map[string]string{
-		"paper":          paperspec.Combined,
-		"withoutExports": withoutExports,
-		"freq":           freqSpec,
-	} {
+	for name, m := range parityModels(t) {
 		t.Run(name, func(t *testing.T) {
-			m := buildModel(t, src)
-			serial := Check(m).String()
-			serialLogic := CheckLogic(m).String()
-			for _, w := range []int{1, 2, 4, 8} {
-				if got := checkParallel(t, m, Options{Workers: w}).String(); got != serial {
-					t.Errorf("workers=%d diverges from serial:\n%s\nvs\n%s", w, got, serial)
+			serial := serialCheck(m, false).String()
+			for _, e := range []Engine{EngineLogic, EngineLogicRecursive} {
+				want := serialLogicCheck(m, BuildDB(m)).String()
+				if e == EngineLogicRecursive {
+					want = serialLogicCheck(m, BuildDBRecursive(m)).String()
 				}
-				if got := checkParallel(t, m, Options{Workers: w, Engine: EngineLogic}).String(); got != serialLogic {
-					t.Errorf("workers=%d logic engine diverges:\n%s\nvs\n%s", w, got, serialLogic)
+				for _, w := range []int{1, 2, 4, 8} {
+					if got := checkParallel(t, m, Options{Workers: w, Engine: e}).String(); got != want {
+						t.Errorf("workers=%d %s engine diverges:\n%s\nvs\n%s", w, engineName(e), got, want)
+					}
+				}
+			}
+			cached := NewChecker(m)
+			cached.Cache = NewResultCache()
+			got := map[string]string{
+				"Check":                 Check(m).String(),
+				"cold cached Check":     cached.Check().String(),
+				"warm cached Check":     cached.Check().String(),
+				"CheckDelta(nil, full)": NewChecker(m).CheckDelta(nil, &ModelDelta{Full: true}).String(),
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				got[fmt.Sprintf("workers=%d", w)] = checkParallel(t, m, Options{Workers: w}).String()
+				got[fmt.Sprintf("workers=%d metrics off", w)] = checkParallel(t, m, Options{Workers: w, Metrics: obs.Disabled}).String()
+			}
+			for how, rep := range got {
+				if rep != serial {
+					t.Errorf("%s diverges from the serial oracle:\n%s\nvs\n%s", how, rep, serial)
 				}
 			}
 		})
@@ -76,10 +162,15 @@ func TestParallelParity(t *testing.T) {
 
 func TestParallelParityDisableIndex(t *testing.T) {
 	m := buildModel(t, freqSpec)
-	serial := Check(m).String()
+	serial := serialCheck(m, true).String()
 	got := checkParallel(t, m, Options{Workers: 4, DisableIndex: true}).String()
 	if got != serial {
 		t.Fatalf("index ablation under parallelism diverges:\n%s\nvs\n%s", got, serial)
+	}
+	chk := NewChecker(m)
+	chk.DisableIndex = true
+	if got := chk.Check().String(); got != serial {
+		t.Fatalf("index ablation in Checker.Check diverges:\n%s\nvs\n%s", got, serial)
 	}
 }
 
@@ -113,6 +204,43 @@ func TestOnViolationStreams(t *testing.T) {
 		if streamed[i].String() != rep.Violations[i].String() {
 			t.Errorf("streamed[%d] = %s, want %s", i, streamed[i], rep.Violations[i])
 		}
+	}
+}
+
+// TestCheckPanicContained: a panic in a check worker — here raised by
+// OnViolation — halts the check and returns to the caller as an error
+// carrying the panic value and the worker's stack, inline at one worker
+// and from the pool at four. The entry points with no error result raise
+// it again on the caller's goroutine instead of returning a partial
+// Report.
+func TestCheckPanicContained(t *testing.T) {
+	m := buildModel(t, freqSpec)
+	for _, w := range []int{1, 4} {
+		_, err := CheckContext(context.Background(), m, Options{
+			Workers:     w,
+			OnViolation: func(Violation) { panic("boom") },
+		})
+		var wp *workerPanic
+		if !errors.As(err, &wp) || wp.value != "boom" || !strings.Contains(err.Error(), "TestCheckPanicContained") {
+			t.Errorf("workers=%d: err = %v, want the recovered panic with the worker's stack", w, err)
+		}
+	}
+
+	prev := Check(m)
+	chk := NewChecker(m)
+	m.Refs[0].Target = nil // every step dereferences it
+	for name, check := range map[string]func(){
+		"Check":      func() { chk.Check() },
+		"CheckDelta": func() { chk.CheckDelta(prev, &ModelDelta{Instances: []string{m.Instances[0].ID}}) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*workerPanic); !ok {
+					t.Errorf("%s did not re-raise the worker's panic", name)
+				}
+			}()
+			check()
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -106,8 +107,9 @@ func TestGeneratedSpecsCrossValidate(t *testing.T) {
 			return false
 		}
 		a := consistency.Check(m)
-		b := consistency.CheckLogic(m)
-		if a.Consistent() != b.Consistent() {
+		b, err := consistency.CheckContext(context.Background(), m,
+			consistency.Options{Workers: 1, Engine: consistency.EngineLogic})
+		if err != nil || a.Consistent() != b.Consistent() {
 			return false
 		}
 		return len(a.Violations) == len(b.Violations)
@@ -154,8 +156,9 @@ func TestRecursiveChains(t *testing.T) {
 		t.Fatalf("recursive internet inconsistent:\n%s", rep)
 	}
 	// cross-validate with the logic engine
-	rep2 := consistency.CheckLogic(m)
-	if !rep2.Consistent() {
+	rep2, err := consistency.CheckContext(context.Background(), m,
+		consistency.Options{Workers: 1, Engine: consistency.EngineLogic})
+	if err != nil || !rep2.Consistent() {
 		t.Fatalf("logic checker disagrees:\n%s", rep2)
 	}
 }

@@ -4,8 +4,7 @@
 // live agent actually does — the reconciler runs the comparison
 // continuously and repairs the difference. A jittered periodic sweep
 // fetches each agent's live configuration, compares its digest against
-// the model's desired configuration (optionally corroborated by audit
-// probes), and re-installs on drift. Targets that keep failing or keep
+// the model's desired configuration, and re-installs on drift. Targets that keep failing or keep
 // flapping are quarantined behind a per-target circuit breaker so a
 // broken element cannot monopolize the sweep; after a cooldown a single
 // half-open probe decides whether it rejoins the fleet.
@@ -18,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"nmsl/internal/audit"
 	"nmsl/internal/configgen"
 	"nmsl/internal/consistency"
 	"nmsl/internal/obs"
@@ -108,8 +106,6 @@ type options struct {
 	sweepWorkers     int
 	metrics          *obs.Registry
 	onEvent          func(Event)
-	auditOn          bool
-	auditOpts        audit.Options
 	now              func() time.Time
 }
 
@@ -203,14 +199,6 @@ func WithOnEvent(fn func(Event)) Option {
 	return func(o *options) { o.onEvent = fn }
 }
 
-// WithAuditProbes corroborates each digest comparison with the
-// adherence auditor: a target whose digest matches but whose observable
-// behaviour diverges from the specification still counts as drifted and
-// is re-installed.
-func WithAuditProbes(opts audit.Options) Option {
-	return func(o *options) { o.auditOn, o.auditOpts = true, opts }
-}
-
 // WithSweepWorkers runs each sweep as n parallel workers over n
 // contiguous target shards (default 1: the serial sweep). Each shard
 // owns its targets' breakers, drift history and probe-jitter rng, so
@@ -265,7 +253,6 @@ type shard struct {
 // not safe for concurrent use; run one loop per Reconciler (RunOnce
 // itself fans out over shards when WithSweepWorkers is set).
 type Reconciler struct {
-	m      *consistency.Model
 	shards []*shard
 	opt    options
 	// rng drives the inter-sweep interval jitter, and doubles as shard
@@ -293,7 +280,7 @@ func New(m *consistency.Model, targets []configgen.Target, opts ...Option) (*Rec
 	for _, fn := range opts {
 		fn(&opt)
 	}
-	r := &Reconciler{m: m, opt: opt}
+	r := &Reconciler{opt: opt}
 	if opt.seeded {
 		r.rng = rand.New(rand.NewSource(opt.seed))
 	} else {
@@ -385,15 +372,6 @@ func (r *Reconciler) observe(ctx context.Context, t target) (drifted bool, detai
 	}
 	if d := live.Digest(); d != t.want.Digest {
 		return true, fmt.Sprintf("live digest %.12s.. != desired %.12s..", d, t.want.Digest), nil
-	}
-	if r.opt.auditOn {
-		rep, aerr := audit.AgentContext(ctx, r.m, t.tgt.InstanceID, t.tgt.Addr, r.opt.auditOpts)
-		if aerr != nil {
-			return false, "", fmt.Errorf("audit: %w", aerr)
-		}
-		if !rep.Adheres() {
-			return true, fmt.Sprintf("digest matches but %d audit findings", len(rep.Findings)), nil
-		}
 	}
 	return false, "", nil
 }

@@ -204,8 +204,8 @@ func WithWorkers(n int) CheckOption {
 	return func(o *consistency.Options) { o.Workers = n }
 }
 
-// WithEngine selects the evaluator: EngineIndexed (default) or
-// EngineLogic.
+// WithEngine selects the evaluator: EngineIndexed (default),
+// EngineLogic or EngineLogicRecursive.
 func WithEngine(e CheckEngine) CheckOption {
 	return func(o *consistency.Options) { o.Engine = e }
 }
@@ -374,8 +374,9 @@ func (s *Specification) Model() *Model { return s.model }
 // instances and checked concurrently; a completed run returns a Report
 // byte-identical to the serial checker regardless of worker count. When
 // ctx is cancelled mid-check, the partial Report is returned together
-// with ctx.Err(). This is the one entry point behind which the older
-// Check/CheckLogic split is unified (see WithEngine).
+// with ctx.Err(). A panic in a check worker, such as one raised by a
+// WithOnViolation callback, halts the check and returns as an error
+// carrying the panic value and the worker's stack.
 func (s *Specification) CheckContext(ctx context.Context, opts ...CheckOption) (*Report, error) {
 	var o consistency.Options
 	for _, opt := range opts {
@@ -386,13 +387,16 @@ func (s *Specification) CheckContext(ctx context.Context, opts ...CheckOption) (
 
 // Check runs the indexed consistency checker serially: one worker, no
 // cancellation, metrics off. The Report is identical to
-// CheckContext's.
+// CheckContext's; a panic inside the check is raised again here.
 //
 // Deprecated: use CheckContext, which adds cancellation, streaming,
 // parallelism and caching; Check remains as a thin shim over it.
 func (s *Specification) Check() *Report {
-	rep, _ := s.CheckContext(context.Background(),
+	rep, err := s.CheckContext(context.Background(),
 		WithWorkers(1), WithMetrics(MetricsDisabled))
+	if err != nil {
+		panic(err)
+	}
 	return rep
 }
 
@@ -413,29 +417,6 @@ func (s *Specification) CheckDelta(prev *Report, delta *ModelDelta, cache *Check
 	chk := consistency.NewChecker(s.model)
 	chk.Cache = cache
 	return chk.CheckDelta(prev, delta)
-}
-
-// CheckLogic runs the consistency check through the CLP(R)-style logic
-// engine (the paper's reference semantics; slower but independent).
-//
-// Deprecated: use CheckContext with WithEngine(EngineLogic), which adds
-// cancellation, streaming and parallelism; CheckLogic remains as a thin
-// shim over it.
-func (s *Specification) CheckLogic() *Report {
-	rep, _ := s.CheckContext(context.Background(),
-		WithWorkers(1), WithEngine(EngineLogic), WithMetrics(MetricsDisabled))
-	return rep
-}
-
-// CheckLogicRecursive runs the logic engine over the paper's recursive
-// transitivity rules without materialized closures — the parity oracle.
-//
-// Deprecated: use CheckContext with WithEngine(EngineLogicRecursive);
-// CheckLogicRecursive remains as a thin shim over it.
-func (s *Specification) CheckLogicRecursive() *Report {
-	rep, _ := s.CheckContext(context.Background(),
-		WithWorkers(1), WithEngine(EngineLogicRecursive), WithMetrics(MetricsDisabled))
-	return rep
 }
 
 // Generate runs the output-specific compiler actions for tag into w

@@ -48,7 +48,7 @@ end process bridgeProxy.
 	if !rep.Consistent() {
 		t.Fatalf("inconsistent:\n%s", rep)
 	}
-	rep2 := spec.CheckLogic()
+	rep2 := checkEngine(t, spec.Model(), EngineLogic)
 	if !rep2.Consistent() {
 		t.Fatalf("logic checker disagrees:\n%s", rep2)
 	}

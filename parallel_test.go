@@ -3,6 +3,7 @@ package nmsl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"nmsl/internal/consistency"
 	"nmsl/internal/netsim"
+	"nmsl/internal/obs"
 )
 
 // compileCorpus compiles one testdata specification (with its extension,
@@ -42,30 +44,119 @@ func compileCorpus(t *testing.T, tc corpusCase) *Specification {
 	return spec
 }
 
-// TestParallelParityCorpus asserts that CheckContext produces a Report
-// byte-identical to the serial checkers at workers 1, 2, 4 and 8 across
-// the whole testdata corpus, for both engines.
-func TestParallelParityCorpus(t *testing.T) {
+// checkEngine checks m through engine e at one worker with metrics off —
+// the serial run the worker-count and delta paths are held to.
+func checkEngine(t *testing.T, m *consistency.Model, e consistency.Engine) *consistency.Report {
+	t.Helper()
+	rep, err := consistency.CheckContext(context.Background(), m,
+		consistency.Options{Workers: 1, Engine: e, Metrics: obs.Disabled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// parityCase is one TestParallelParityCorpus input: its name and how to
+// compile it afresh (the rebuilt-model delta path compiles it twice).
+type parityCase struct {
+	name    string
+	compile func(t *testing.T) *Specification
+}
+
+// paritySpecs is the testdata corpus plus one generated internet per
+// netsim scenario, with injected violations so replays carry verdicts.
+func paritySpecs(t *testing.T) []parityCase {
+	var cases []parityCase
 	for _, tc := range corpus {
-		t.Run(tc.file, func(t *testing.T) {
-			spec := compileCorpus(t, tc)
-			serial := spec.Check().String()
-			serialLogic := spec.CheckLogic().String()
+		cases = append(cases, parityCase{tc.file, func(t *testing.T) *Specification { return compileCorpus(t, tc) }})
+	}
+	for _, name := range netsim.Scenarios() {
+		p, err := netsim.ScenarioParams(netsim.Scenario(name), 60, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.InconsistencyRate = 0.5
+		src := netsim.Source(p)
+		cases = append(cases, parityCase{"netsim-" + name, func(t *testing.T) *Specification {
+			c := NewCompiler()
+			if err := c.CompileSource(name+".nmsl", src); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := c.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spec
+		}})
+	}
+	return cases
+}
+
+// TestParallelParityCorpus asserts that every check path renders the
+// serial Report byte for byte — String() and RefsChecked — across the
+// testdata corpus and the netsim scenarios: CheckContext at workers 1,
+// 2, 4 and 8 for both logic engines and the indexed one, and every
+// CheckDelta path (an empty delta on the same model, a rebuilt model,
+// and the nil and Full fallbacks), whose violations must point into the
+// current model.
+func TestParallelParityCorpus(t *testing.T) {
+	for _, tc := range paritySpecs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.compile(t)
+			m := spec.Model()
+			serial := spec.Check()
+			for _, e := range []CheckEngine{EngineLogic, EngineLogicRecursive} {
+				want := checkEngine(t, m, e).String()
+				for _, w := range []int{1, 2, 4, 8} {
+					rep, err := spec.CheckContext(context.Background(), WithWorkers(w), WithEngine(e))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.String() != want {
+						t.Errorf("workers=%d engine %d diverges:\n%s\nvs\n%s", w, e, rep, want)
+					}
+				}
+			}
+			got := map[string]*Report{}
 			for _, w := range []int{1, 2, 4, 8} {
 				rep, err := spec.CheckContext(context.Background(), WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.String() != serial {
-					t.Errorf("workers=%d diverges from serial:\n%s\nvs\n%s", w, rep, serial)
+				got[fmt.Sprintf("workers=%d", w)] = rep
+			}
+			cache := NewCheckCache()
+			got["delta, empty"] = spec.CheckDelta(serial, &ModelDelta{}, cache)
+			got["delta, nil prev"] = spec.CheckDelta(nil, &ModelDelta{}, cache)
+			got["delta, nil delta"] = spec.CheckDelta(serial, nil, nil)
+			got["delta, full"] = spec.CheckDelta(serial, &ModelDelta{Full: true}, nil)
+			rebuilt := tc.compile(t)
+			rebuiltSerial := rebuilt.Check()
+			if rebuiltSerial.String() != serial.String() {
+				t.Fatal("recompiling changed the verdict")
+			}
+			currentOf := map[*Report]*Model{}
+			for _, rep := range got {
+				currentOf[rep] = m
+			}
+			viaRebuild := rebuilt.CheckDelta(serial, DiffSpecs(spec, rebuilt), cache)
+			got["delta, rebuilt model"] = viaRebuild
+			currentOf[viaRebuild] = rebuilt.Model()
+			for how, rep := range got {
+				if rep.String() != serial.String() || rep.RefsChecked != serial.RefsChecked {
+					t.Errorf("%s diverges from serial (%d vs %d refs):\n%s\nvs\n%s",
+						how, rep.RefsChecked, serial.RefsChecked, rep, serial)
 				}
-				lrep, err := spec.CheckContext(context.Background(),
-					WithWorkers(w), WithEngine(EngineLogic))
-				if err != nil {
-					t.Fatal(err)
+				cur := currentOf[rep]
+				inModel := make(map[*consistency.Ref]bool, len(cur.Refs))
+				for i := range cur.Refs {
+					inModel[&cur.Refs[i]] = true
 				}
-				if lrep.String() != serialLogic {
-					t.Errorf("workers=%d logic engine diverges:\n%s\nvs\n%s", w, lrep, serialLogic)
+				for _, v := range rep.Violations {
+					if v.Ref != nil && !inModel[v.Ref] {
+						t.Errorf("%s: violation %s points outside the current model", how, v)
+						break
+					}
 				}
 			}
 		})
@@ -111,7 +202,7 @@ func TestParallelParityNetsimLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := consistency.CheckLogic(m)
+	serial := checkEngine(t, m, consistency.EngineLogic)
 	if serial.Consistent() {
 		t.Fatal("expected injected violations")
 	}
