@@ -28,7 +28,9 @@ MEGA_AGENTS ?= 1000
 # round-trip, and a 512-agent fleet install), configuration generation
 # for 20,000 agents, and the front end compiling the 1k- and 10k-domain
 # specification texts. On the round-trip the B/op comparison is
-# the point: a receive buffer allocated per datagram moves it tenfold.
+# the point: a receive buffer allocated per datagram moves it tenfold,
+# and a delivery goroutine, a copy, channels and a timer per datagram
+# (the transport before BENCH_37.json) by a third.
 # A per-instance scan of the permission table allocates nothing extra,
 # so on the generation it is ns/op that holds the line here, and
 # TestGenerateLinear (`make linear`) on machines whose timings do not
@@ -43,7 +45,7 @@ GUARDED_BENCH = ^(BenchmarkCompileDomains1000|BenchmarkCompileDomains10000|Bench
 
 # The committed baselines bench-guard compares against, oldest first: a
 # successor supersedes the benchmarks it measured again.
-BENCH_BASELINES = BENCH_5.json,BENCH_14.json,BENCH_15.json,BENCH_28.json
+BENCH_BASELINES = BENCH_5.json,BENCH_14.json,BENCH_15.json,BENCH_28.json,BENCH_37.json
 
 # The §1-scale tier: the 100k-domain cold check and warm single-change
 # re-check, and the 25k-agent fleet install. Model construction alone

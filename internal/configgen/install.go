@@ -1,13 +1,11 @@
 package configgen
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"nmsl/internal/snmp"
 )
@@ -72,23 +70,4 @@ func InstallLive(addr, adminCommunity string, cfg *snmp.Config) error {
 	}
 	defer client.Close()
 	return client.InstallConfig(cfg)
-}
-
-// FetchLiveContext retrieves an agent's current configuration over the
-// management protocol — the read half of the live install path. The
-// drift reconciler uses it to compare a live agent's digest against the
-// model's (a rollout reads pre-images on its target's own session, see
-// target.go). timeout bounds each attempt's wait (zero keeps the client
-// default); retries is how many times a timed-out fetch is retransmitted.
-func FetchLiveContext(ctx context.Context, addr, adminCommunity string, timeout time.Duration, retries int) (*snmp.Config, error) {
-	client, err := snmp.Dial(addr, adminCommunity)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	client.SetRetries(retries)
-	if timeout > 0 {
-		client.SetTimeout(timeout)
-	}
-	return client.FetchConfigContext(ctx)
 }

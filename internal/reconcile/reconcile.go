@@ -362,11 +362,25 @@ func (r *Reconciler) strike(sd *shard, b *breaker, now time.Time) bool {
 	return opened
 }
 
-// observe fetches the target's live configuration and decides whether
-// it matches the desired one. drifted is meaningful only when err is
-// nil.
+// observe fetches the target's live configuration blob and decides
+// whether it matches the desired one. The bytes as fetched are digested
+// first; only a blob whose digest differs is decoded and digested again
+// in canonical form, so an equal configuration written differently is
+// never called drift. drifted is meaningful only when err is nil.
 func (r *Reconciler) observe(ctx context.Context, t target) (drifted bool, detail string, err error) {
-	live, err := configgen.FetchLiveContext(ctx, t.tgt.Addr, t.tgt.AdminCommunity, r.opt.attemptTimeout, r.opt.retries)
+	client, err := r.dial(t)
+	if err != nil {
+		return false, "", err
+	}
+	defer client.Close()
+	blob, err := client.FetchConfigBlobContext(ctx)
+	if err != nil {
+		return false, "", err
+	}
+	if snmp.BlobDigest(blob) == t.want.Digest {
+		return false, "", nil
+	}
+	live, err := snmp.UnmarshalConfig(blob)
 	if err != nil {
 		return false, "", err
 	}
@@ -378,14 +392,24 @@ func (r *Reconciler) observe(ctx context.Context, t target) (drifted bool, detai
 
 // heal re-installs the desired configuration at the target.
 func (r *Reconciler) heal(ctx context.Context, t target) error {
-	client, err := snmp.Dial(t.tgt.Addr, t.tgt.AdminCommunity)
+	client, err := r.dial(t)
 	if err != nil {
 		return err
 	}
 	defer client.Close()
+	return client.InstallConfigContext(ctx, t.want.Config)
+}
+
+// dial opens an admin session to the target under the reconciler's
+// retry policy.
+func (r *Reconciler) dial(t target) (*snmp.Client, error) {
+	client, err := snmp.Dial(t.tgt.Addr, t.tgt.AdminCommunity)
+	if err != nil {
+		return nil, err
+	}
 	client.SetRetries(r.opt.retries)
 	client.SetTimeout(r.opt.attemptTimeout)
-	return client.InstallConfigContext(ctx, t.want.Config)
+	return client, nil
 }
 
 // RunOnce performs a single reconciliation sweep over the fleet and

@@ -2,7 +2,9 @@ package reconcile
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -461,5 +463,83 @@ func TestHalfOpenProbesJitteredAgainstThunderingHerd(t *testing.T) {
 	}
 	if busySweeps < 2 {
 		t.Fatalf("probes concentrated in %d sweep(s), want spread across >= 2", busySweeps)
+	}
+}
+
+// stubAgent answers every request at a UDP address with blob as the
+// configuration object's value, however the agent would have written it.
+func stubAgent(t *testing.T, blob []byte) string {
+	t.Helper()
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			n, raddr, err := pc.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			req, err := snmp.Unmarshal(buf[:n])
+			if err != nil {
+				continue
+			}
+			out, err := (&snmp.Message{Version: req.Version, Community: req.Community, PDU: snmp.PDU{
+				Type: snmp.TagGetResponse, RequestID: req.PDU.RequestID,
+				Bindings: []snmp.Binding{{OID: snmp.ConfigOID, Value: snmp.Opaque(blob)}},
+			}}).Marshal()
+			if err == nil {
+				_, _ = pc.WriteToUDP(out, raddr)
+			}
+		}
+	}()
+	return pc.LocalAddr().String()
+}
+
+// TestReconcilerJudgesEqualConfigNotBytes: an agent that writes the
+// desired configuration as indented JSON — not the canonical bytes, so
+// the fetched blob's digest differs — is in sync, not drifted, and an
+// indented blob of another configuration is still drift.
+func TestReconcilerJudgesEqualConfigNotBytes(t *testing.T) {
+	m, err := netsim.Model(netsim.Params{Domains: 1, SystemsPerDomain: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := configgen.Generate(m)
+	if len(configs) == 0 {
+		t.Fatal("no configurations generated")
+	}
+	for id := range configs {
+		want := configgen.DesiredState(m, []configgen.Target{{InstanceID: id, AdminCommunity: "adm"}})[0]
+		for _, tc := range []struct {
+			name    string
+			cfg     *snmp.Config
+			drifted int
+		}{
+			{"desired", want.Config, 0},
+			{"other", emptyConfig(id), 1},
+		} {
+			blob, err := json.MarshalIndent(tc.cfg, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snmp.BlobDigest(blob) == want.Digest {
+				t.Fatal("the indented blob digests like the canonical one; the test proves nothing")
+			}
+			tgt := configgen.Target{InstanceID: id, Addr: stubAgent(t, blob), AdminCommunity: "adm"}
+			r, err := New(m, []configgen.Target{tgt}, WithRetries(1), WithAttemptTimeout(200*time.Millisecond), WithMetrics(obs.Disabled))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := r.RunOnce(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if sw.Checked != 1 || sw.CheckFailures != 0 || sw.Drifted != tc.drifted || sw.InSync != 1-tc.drifted {
+				t.Fatalf("%s: %s, want %d drifted", tc.name, sw, tc.drifted)
+			}
+		}
 	}
 }

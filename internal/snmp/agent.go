@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmsl/internal/mib"
@@ -277,6 +278,9 @@ type Agent struct {
 	lastReq  map[string]*Message  // community -> last answered request
 	lastResp map[string]*Message  // community -> response to lastReq
 	stats    Stats
+	// panics counts contained panics outside mu: a panic may leave mu
+	// held, and counting it must not wait on that.
+	panics atomic.Int64
 
 	conn   *net.UDPConn
 	faults *FaultInjector
@@ -296,6 +300,8 @@ type Stats struct {
 	ConfigLoads  int64
 	NoSuchName   int64
 	SetsAccepted int64
+	// Panics counts datagrams dropped because handling them panicked.
+	Panics int64
 }
 
 // Metric names recorded by the agent, the client and the fault
@@ -311,6 +317,10 @@ const (
 	MetricAgentNoSuchName   = "nmsl_snmp_agent_no_such_name_total"
 	MetricAgentSetsAccepted = "nmsl_snmp_agent_sets_accepted_total"
 	MetricAgentHandle       = "nmsl_snmp_agent_handle_ns"
+
+	// MetricPanics counts contained panics, split by a site label; the
+	// agent's serve step counts under site="agent".
+	MetricPanics = "nmsl_panics_total"
 
 	MetricClientRequests    = "nmsl_snmp_client_requests_total"
 	MetricClientRetransmits = "nmsl_snmp_client_retransmits_total"
@@ -331,6 +341,7 @@ type agentMetrics struct {
 	configLoads  *obs.Counter
 	noSuchName   *obs.Counter
 	setsAccepted *obs.Counter
+	panics       *obs.Counter
 	handle       *obs.Histogram
 }
 
@@ -344,6 +355,7 @@ func newAgentMetrics(reg *obs.Registry) agentMetrics {
 		configLoads:  reg.Counter(MetricAgentConfigLoads),
 		noSuchName:   reg.Counter(MetricAgentNoSuchName),
 		setsAccepted: reg.Counter(MetricAgentSetsAccepted),
+		panics:       reg.Counter(obs.L(MetricPanics, "site", "agent")),
 		handle:       reg.Histogram(MetricAgentHandle),
 	}
 }
@@ -408,8 +420,10 @@ func (a *Agent) Reset() {
 // Stats returns a snapshot of the counters.
 func (a *Agent) Stats() Stats {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
+	s := a.stats
+	a.mu.Unlock()
+	s.Panics = a.panics.Load()
+	return s
 }
 
 // ApplyConfig atomically replaces the agent's configuration (the file
@@ -489,20 +503,38 @@ func (a *Agent) serve() {
 			}
 			a.faults.sleep(fx.delay)
 		}
-		req, err := Unmarshal(buf[:n])
-		if err != nil {
-			continue // silently drop malformed datagrams, as agents do
+		if out := a.respond(buf[:n]); out != nil {
+			a.send(out, raddr)
 		}
-		resp := a.Handle(req)
-		if resp == nil {
-			continue
-		}
-		out, err := resp.Marshal()
-		if err != nil {
-			continue
-		}
-		a.send(out, raddr)
 	}
+}
+
+// respond is one datagram's trip through the agent — decode, Handle,
+// encode — and returns the response, or nil when the agent stays
+// silent. Both serve loops, UDP and MemNet's, go through it, and it is
+// where a panic in handling is contained: the datagram is dropped and
+// counted, and the serve loop (or the rollout worker that wrote the
+// datagram) carries on. No agent lock is held at this frame.
+func (a *Agent) respond(req []byte) (out []byte) {
+	defer func() {
+		if r := recover(); r != nil {
+			a.panics.Add(1)
+			a.om.panics.Inc()
+			out = nil
+		}
+	}()
+	msg, err := Unmarshal(req)
+	if err != nil {
+		return nil // silently drop malformed datagrams, as agents do
+	}
+	resp := a.Handle(msg)
+	if resp == nil {
+		return nil
+	}
+	if out, err = resp.Marshal(); err != nil {
+		return nil
+	}
+	return out
 }
 
 // send writes a response datagram, applying outbound faults when an

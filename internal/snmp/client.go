@@ -416,12 +416,12 @@ func (p *PreparedSet) Send(ctx context.Context) error {
 	return err
 }
 
-// FetchConfigContext retrieves the agent's current configuration via the
-// admin community's reserved config object — the read half of the live
-// install path. Transactional rollouts use it to capture a pre-image
-// before replacing a configuration; the drift reconciler uses it to
-// compare a live agent's digest against the model's.
-func (c *Client) FetchConfigContext(ctx context.Context) (*Config, error) {
+// FetchConfigBlobContext retrieves the agent's current configuration
+// blob via the admin community's reserved config object, undecoded —
+// the read half of the live install path. The drift reconciler digests
+// these bytes as fetched (BlobDigest) and decodes them only when the
+// digest differs from the model's.
+func (c *Client) FetchConfigBlobContext(ctx context.Context) ([]byte, error) {
 	binds, err := c.GetContext(ctx, ConfigOID)
 	if err != nil {
 		return nil, err
@@ -433,7 +433,18 @@ func (c *Client) FetchConfigContext(ctx context.Context) (*Config, error) {
 	if v.Tag != TagOpaque && v.Tag != TagOctets {
 		return nil, fmt.Errorf("snmp: config fetch returned tag 0x%02x, not an opaque blob", v.Tag)
 	}
-	return UnmarshalConfig(v.Bytes)
+	return v.Bytes, nil
+}
+
+// FetchConfigContext retrieves and decodes the agent's current
+// configuration. Transactional rollouts use it to capture a pre-image
+// before replacing a configuration.
+func (c *Client) FetchConfigContext(ctx context.Context) (*Config, error) {
+	blob, err := c.FetchConfigBlobContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalConfig(blob)
 }
 
 // FetchConfig retrieves the agent's current configuration via the admin

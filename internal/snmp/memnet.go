@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmsl/internal/vclock"
@@ -18,7 +19,9 @@ import (
 // "mem://<net>/<host>", and the returned client's datagrams travel
 // through Marshal → per-host fault injector → Agent.Handle → Marshal,
 // preserving full wire fidelity (retransmit caches, truncation,
-// duplication) with zero sockets.
+// duplication) with zero sockets. An undelayed datagram is served on
+// the goroutine that wrote it, so a round trip costs its codec calls
+// and no scheduler hand-off.
 //
 // Every host carries its own FaultInjector link, so a chaos driver can
 // partition, flap or burst-degrade hosts individually while a rollout
@@ -35,7 +38,7 @@ type MemNet struct {
 type memHost struct {
 	agent *Agent
 	inj   *FaultInjector
-	down  bool
+	down  atomic.Bool
 }
 
 // memNets is the process-global registry Dial consults for mem://
@@ -134,10 +137,8 @@ func (n *MemNet) Hosts() []string {
 // SetDown marks a host unreachable (down) or reachable again. Datagrams
 // to a down host vanish silently, exactly as UDP to a dead machine.
 func (n *MemNet) SetDown(host string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if h := n.hosts[host]; h != nil {
-		h.down = down
+	if h := n.lookup(host); h != nil {
+		h.down.Store(down)
 	}
 }
 
@@ -145,16 +146,12 @@ func (n *MemNet) SetDown(host string, down bool) {
 // configuration: volatile state (retransmit cache, rate-limit windows)
 // is cleared and the host marked reachable.
 func (n *MemNet) Restart(host string) {
-	n.mu.Lock()
-	h := n.hosts[host]
-	n.mu.Unlock()
+	h := n.lookup(host)
 	if h == nil {
 		return
 	}
 	h.agent.Reset()
-	n.mu.Lock()
-	h.down = false
-	n.mu.Unlock()
+	h.down.Store(false)
 }
 
 // lookup resolves a host under the network lock.
@@ -180,35 +177,29 @@ func dialMem(addr string) (clientConn, bool, error) {
 	if !found {
 		return nil, true, fmt.Errorf("snmp: memnet %q not registered", netName)
 	}
-	n := v.(*MemNet)
-	if n.lookup(host) == nil {
+	h := v.(*MemNet).lookup(host)
+	if h == nil {
 		return nil, true, fmt.Errorf("snmp: no host %q on memnet %q", host, netName)
 	}
-	return &memConn{net: n, host: host, q: newDatagramQueue()}, true, nil
+	// Hosts are never removed, so the connection holds its host.
+	return &memConn{host: h}, true, nil
 }
 
-// deliver carries one client datagram to a host and its response back,
-// applying the host's fault schedule on both directions. It runs on its
-// own goroutine per datagram (spawned by memConn.Write), so injected
-// delays stall the datagram, not the sender — the same asynchrony a
-// real network gives.
-func (n *MemNet) deliver(host string, req []byte, back *datagramQueue) {
-	h := n.lookup(host)
-	if h == nil {
+// deliver carries one client datagram to the host and its response
+// back, applying the host's fault schedule in both directions. It runs
+// on the writer's goroutine, so the down flag and the inbound fault are
+// read in the order the writer sent. Only a datagram the injector
+// delays, in either direction, moves to a goroutine of its own: the
+// delay stalls that datagram and not the sender, and delayed datagrams
+// are the only ones that overtake others.
+func (h *memHost) deliver(req []byte, back *datagramQueue) {
+	if h.down.Load() {
 		return
 	}
-	n.mu.Lock()
-	down := h.down
-	n.mu.Unlock()
-	if down {
-		return
-	}
-	inj := h.inj
-	fx := inj.decide(&inj.In)
+	fx := h.inj.decide(&h.inj.In)
 	if fx.drop {
 		return
 	}
-	inj.sleep(fx.delay)
 	if fx.truncate {
 		req = req[:truncateLen(len(req))]
 	}
@@ -216,49 +207,62 @@ func (n *MemNet) deliver(host string, req []byte, back *datagramQueue) {
 	if fx.dup {
 		copies = 2
 	}
+	if fx.delay > 0 {
+		req = append([]byte(nil), req...) // the writer owns its buffer again once Write returns
+		go func() {
+			h.inj.sleep(fx.delay)
+			h.serve(req, copies, back)
+		}()
+		return
+	}
+	h.serve(req, copies, back)
+}
+
+// serve runs each delivered copy of a request through the agent and
+// sends the response back through the outbound fault schedule.
+func (h *memHost) serve(req []byte, copies int, back *datagramQueue) {
 	for i := 0; i < copies; i++ {
-		msg, err := Unmarshal(req)
-		if err != nil {
-			return // malformed on the wire: the agent would discard it
+		out := h.agent.respond(req)
+		if out == nil {
+			continue // malformed, denied, rate-limited or panicked: silence
 		}
-		resp := h.agent.Handle(msg)
-		if resp == nil {
-			continue // rate-limited or denied: silence, like the real serve loop
-		}
-		out, err := resp.Marshal()
-		if err != nil {
+		fx := h.inj.decide(&h.inj.Out)
+		if fx.drop {
 			continue
 		}
-		ofx := inj.decide(&inj.Out)
-		if ofx.drop {
-			continue
-		}
-		inj.sleep(ofx.delay)
-		if ofx.truncate {
+		if fx.truncate {
 			out = out[:truncateLen(len(out))]
 		}
+		if fx.delay > 0 {
+			go func() {
+				h.inj.sleep(fx.delay)
+				back.push(out)
+				if fx.dup {
+					back.push(out)
+				}
+			}()
+			continue
+		}
 		back.push(out)
-		if ofx.dup {
+		if fx.dup {
 			back.push(out)
 		}
 	}
 }
 
-// memConn is the client's end of a mem:// link: Writes fan out as
-// delivery goroutines, Reads drain the response queue under the
-// client's read deadline.
+// memConn is the client's end of a mem:// link: a Write is served
+// before it returns unless the link delays it, and Reads drain the
+// response queue under the client's read deadline.
 type memConn struct {
-	net  *MemNet
-	host string
-	q    *datagramQueue
+	host *memHost
+	q    datagramQueue
 }
 
 func (mc *memConn) Write(b []byte) (int, error) {
 	if mc.q.isClosed() {
 		return 0, net.ErrClosed
 	}
-	data := append([]byte(nil), b...)
-	go mc.net.deliver(mc.host, data, mc.q)
+	mc.host.deliver(b, &mc.q)
 	return len(b), nil
 }
 
@@ -267,109 +271,137 @@ func (mc *memConn) SetReadDeadline(t time.Time) error { return mc.q.setDeadline(
 func (mc *memConn) Close() error                      { mc.q.close(); return nil }
 
 // datagramQueue is a bounded inbox with net.Conn-style read deadlines,
-// shared by memConn and the UDP client mux. The deadline is a swappable
-// closed-channel: SetReadDeadline re-arms it, a past deadline trips it
-// immediately — which is exactly the hook the client's context
-// cancellation uses to interrupt a blocked Read.
+// shared by memConn and the UDP client mux. Everything a reader waits
+// for — a datagram, Close, the deadline — is state under mu; the wake
+// channel only tells a blocked reader to look again. A reader arms the
+// queue's one timer only when it has to block, so a response already
+// queued costs no timer at all. SetReadDeadline from another goroutine
+// wakes a blocked Read, as on a net.Conn: the client's context-cancel
+// hook interrupts a read by setting a past deadline.
+//
+// The zero value is an open queue with no deadline.
 type datagramQueue struct {
-	inbox chan []byte
-
-	mu     sync.Mutex
-	timer  *time.Timer
-	dlCh   chan struct{} // closed when the deadline passes; nil = no deadline
-	rearm  chan struct{} // closed and replaced whenever the deadline changes
-	closed chan struct{}
-	once   sync.Once
+	mu       sync.Mutex
+	fifo     [][]byte // queued datagrams, fifo[head:]
+	head     int
+	closed   bool
+	deadline time.Time // zero means none
+	timer    *time.Timer
+	wake     chan struct{} // one slot; made when a reader first blocks
+	waiting  int           // readers blocked on wake
 }
 
 // inboxDepth bounds queued responses per connection, standing in for
 // the kernel's socket buffer: overflow is silently dropped.
 const inboxDepth = 64
 
-func newDatagramQueue() *datagramQueue {
-	return &datagramQueue{
-		inbox:  make(chan []byte, inboxDepth),
-		rearm:  make(chan struct{}),
-		closed: make(chan struct{}),
-	}
-}
-
 // push enqueues one datagram, dropping it if the inbox is full or the
-// queue closed.
+// queue closed. The queue keeps p: the caller must not reuse it.
 func (q *datagramQueue) push(p []byte) {
-	cp := append([]byte(nil), p...)
-	select {
-	case <-q.closed:
-	case q.inbox <- cp:
-	default:
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || len(q.fifo)-q.head >= inboxDepth {
+		return
 	}
+	if q.head > 0 && len(q.fifo) == cap(q.fifo) {
+		n := copy(q.fifo, q.fifo[q.head:])
+		clear(q.fifo[n:])
+		q.fifo, q.head = q.fifo[:n], 0
+	}
+	q.fifo = append(q.fifo, p)
+	q.wakeLocked()
 }
 
 func (q *datagramQueue) read(b []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for {
-		q.mu.Lock()
-		dl, rearm := q.dlCh, q.rearm
-		q.mu.Unlock()
-		// A nil deadline channel blocks forever in the select, which is
-		// the no-deadline behavior. The rearm channel wakes readers that
-		// were already blocked when SetReadDeadline replaced the
-		// deadline — a net.Conn interrupts in-flight reads the same way,
-		// and the client's context-cancel hook depends on it.
-		select {
-		case p := <-q.inbox:
-			return copy(b, p), nil
-		case <-dl:
-			return 0, errReadTimeout
-		case <-rearm:
-			continue
-		case <-q.closed:
+		if q.closed {
+			q.wakeLocked() // every blocked reader sees the close
 			return 0, net.ErrClosed
 		}
+		var wait time.Duration
+		if !q.deadline.IsZero() {
+			if wait = time.Until(q.deadline); wait <= 0 {
+				q.wakeLocked() // and every blocked reader the deadline
+				return 0, errReadTimeout
+			}
+		}
+		if q.head < len(q.fifo) {
+			p := q.fifo[q.head]
+			q.fifo[q.head] = nil
+			if q.head++; q.head == len(q.fifo) {
+				q.fifo, q.head = q.fifo[:0], 0
+			} else {
+				q.wakeLocked() // datagrams left for another reader
+			}
+			return copy(b, p), nil
+		}
+		if q.wake == nil {
+			q.wake = make(chan struct{}, 1)
+		}
+		if wait > 0 {
+			if q.timer == nil {
+				q.timer = time.AfterFunc(wait, q.timeUp)
+			} else {
+				q.timer.Reset(wait)
+			}
+		}
+		q.waiting++
+		q.mu.Unlock()
+		<-q.wake
+		q.mu.Lock()
+		q.waiting--
+	}
+}
+
+// timeUp is the timer's callback: it only wakes the reader, which
+// re-checks the deadline itself.
+func (q *datagramQueue) timeUp() {
+	q.mu.Lock()
+	q.wakeLocked()
+	q.mu.Unlock()
+}
+
+// wakeLocked hands the wake token to a blocked reader, if there is one.
+// The slot holds the token until that reader takes it, so a wake-up
+// that races the reader's block is never lost.
+func (q *datagramQueue) wakeLocked() {
+	if q.waiting == 0 {
+		return
+	}
+	select {
+	case q.wake <- struct{}{}:
+	default:
 	}
 }
 
 func (q *datagramQueue) setDeadline(t time.Time) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
-	}
-	close(q.rearm)
-	q.rearm = make(chan struct{})
-	if t.IsZero() {
-		q.dlCh = nil
-		return nil
-	}
-	ch := make(chan struct{})
-	q.dlCh = ch
-	if d := time.Until(t); d <= 0 {
-		close(ch)
-	} else {
-		q.timer = time.AfterFunc(d, func() { close(ch) })
-	}
+	q.deadline = t
+	q.wakeLocked()
+	q.mu.Unlock()
 	return nil
 }
 
 func (q *datagramQueue) close() {
-	q.once.Do(func() {
-		q.mu.Lock()
-		if q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
-		q.mu.Unlock()
-		close(q.closed)
-	})
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return
+	}
+	q.closed = true
+	q.fifo, q.head = nil, 0
+	if q.timer != nil {
+		q.timer.Stop()
+	}
+	q.wakeLocked()
 }
 
 func (q *datagramQueue) isClosed() bool {
-	select {
-	case <-q.closed:
-		return true
-	default:
-		return false
-	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
 }
 
 // timeoutError mirrors the net package's deadline error: Timeout()

@@ -41,7 +41,7 @@ func (m *ClientMux) Dial(addr, community string) (*Client, error) {
 		return nil, err
 	}
 	key := udpAddr.String()
-	mc := &muxConn{mux: m, raddr: udpAddr, key: key, q: newDatagramQueue()}
+	mc := &muxConn{mux: m, raddr: udpAddr, key: key}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -104,7 +104,7 @@ func (m *ClientMux) readLoop() {
 		mc := m.routes[raddr.String()]
 		m.mu.Unlock()
 		if mc != nil {
-			mc.q.push(buf[:n])
+			mc.q.push(append([]byte(nil), buf[:n]...)) // buf is reused; the queue keeps what it is given
 		}
 	}
 }
@@ -121,7 +121,7 @@ type muxConn struct {
 	mux   *ClientMux
 	raddr *net.UDPAddr
 	key   string
-	q     *datagramQueue
+	q     datagramQueue
 }
 
 func (mc *muxConn) Write(b []byte) (int, error) {

@@ -13,9 +13,11 @@ import (
 
 // TestRoundTripAllocBudget is the allocation gate for the datagram path:
 // one GET round trip over mem:// — client and agent side both, they
-// share the process — allocates under 3 KB. A 64 KB receive buffer per
-// request would exceed that twenty times over, and a codec that builds a
-// Value tree per message (7.5 KB a round trip) twice.
+// share the process — allocates under 1.5 KB. A 64 KB receive buffer
+// per request would exceed that forty times over, a codec that builds a
+// Value tree per message (7.5 KB a round trip) five times, and a
+// transport that copies each datagram and allocates a channel and a
+// timer per read (1.6 KB a round trip) once.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -51,8 +53,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perTrip := (after.TotalAlloc - before.TotalAlloc) / trips
 	t.Logf("%d B allocated per GET round trip", perTrip)
-	if perTrip >= 3<<10 {
-		t.Errorf("a GET round trip over mem:// allocates %d B, want < 3 KB", perTrip)
+	if perTrip >= 1536 {
+		t.Errorf("a GET round trip over mem:// allocates %d B, want < 1.5 KB", perTrip)
 	}
 }
 
