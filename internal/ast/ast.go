@@ -414,45 +414,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(out)
 	return out
 }
-
-// DomainsContaining returns the names of all domains that contain the
-// named system, directly or through subdomain nesting.
-func (s *Spec) DomainsContaining(system string) []string {
-	direct := map[string][]string{} // domain -> subdomains
-	var hits []string
-	for name, d := range s.Domains {
-		for _, sys := range d.Systems {
-			if sys == system {
-				hits = append(hits, name)
-			}
-		}
-		direct[name] = d.Subdomains
-	}
-	// propagate through nesting: a domain containing a hit domain also
-	// contains the system.
-	changed := true
-	hitSet := map[string]bool{}
-	for _, h := range hits {
-		hitSet[h] = true
-	}
-	for changed {
-		changed = false
-		for name, subs := range direct {
-			if hitSet[name] {
-				continue
-			}
-			for _, sub := range subs {
-				if hitSet[sub] {
-					hitSet[name] = true
-					changed = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(hitSet))
-	for name := range hitSet {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,7 +1,6 @@
 package ast
 
 import (
-	"strings"
 	"testing"
 
 	"nmsl/internal/mib"
@@ -139,22 +138,6 @@ func TestNewSpecAndNames(t *testing.T) {
 func TestExtKey(t *testing.T) {
 	if ExtKey("process", "p") != "process p" {
 		t.Errorf("ExtKey = %q", ExtKey("process", "p"))
-	}
-}
-
-func TestDomainsContainingNested(t *testing.T) {
-	s := NewSpec()
-	s.Domains["leaf"] = &DomainSpec{Name: "leaf", Systems: []string{"host"}}
-	s.Domains["mid"] = &DomainSpec{Name: "mid", Subdomains: []string{"leaf"}}
-	s.Domains["top"] = &DomainSpec{Name: "top", Subdomains: []string{"mid"}}
-	s.Domains["other"] = &DomainSpec{Name: "other"}
-	got := s.DomainsContaining("host")
-	want := "leaf mid top"
-	if strings.Join(got, " ") != want {
-		t.Errorf("DomainsContaining = %v, want %s", got, want)
-	}
-	if len(s.DomainsContaining("ghost")) != 0 {
-		t.Error("unknown system contained somewhere")
 	}
 }
 

@@ -317,6 +317,11 @@ func TestMaxFailureRateGate(t *testing.T) {
 	}
 }
 
+// rolloutBackoff is the delay the retry engine sleeps before retry k.
+func rolloutBackoff(o *rolloutOptions, k int) time.Duration {
+	return snmp.Backoff(o.backoffBase, o.backoffMax, k, o.jitterInt63n)
+}
+
 // TestRolloutJitterSeedDeterministic: with WithJitterSeed the backoff
 // sequence is an exact function of the seed, so tests can account for
 // sleeps precisely instead of bounding them.
@@ -334,7 +339,7 @@ func TestRolloutJitterSeedDeterministic(t *testing.T) {
 	a, b, c := mk(7), mk(7), mk(8)
 	var sameAsC int
 	for k := 0; k < 12; k++ {
-		da, db, dc := a.rolloutBackoff(k), b.rolloutBackoff(k), c.rolloutBackoff(k)
+		da, db, dc := rolloutBackoff(a, k), rolloutBackoff(b, k), rolloutBackoff(c, k)
 		if da != db {
 			t.Fatalf("k=%d: same seed diverged: %v vs %v", k, da, db)
 		}
@@ -367,11 +372,11 @@ func TestRolloutBackoffOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{40, 62, 63, 64, 100, 1000} {
-		d := opt.rolloutBackoff(k)
+		d := rolloutBackoff(opt, k)
 		if d <= 0 {
 			t.Errorf("k=%d: delay %v, want positive (overflow not clamped)", k, d)
 		}
-		if d > maxRolloutBackoff+maxRolloutBackoff/2 {
+		if d > snmp.MaxBackoff+snmp.MaxBackoff/2 {
 			t.Errorf("k=%d: delay %v exceeds jittered clamp", k, d)
 		}
 	}
@@ -384,7 +389,7 @@ func TestRolloutBackoffOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{40, 63, 100} {
-		if d := opt2.rolloutBackoff(k); d <= 0 || d > 3*time.Second {
+		if d := rolloutBackoff(opt2, k); d <= 0 || d > 3*time.Second {
 			t.Errorf("capped k=%d: delay %v outside (0, 3s]", k, d)
 		}
 	}

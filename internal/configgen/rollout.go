@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmsl/internal/consistency"
@@ -47,11 +48,6 @@ const (
 	MetricRolloutGateFails      = "nmsl_rollout_gate_failures_total"
 	MetricRolloutResumed        = "nmsl_rollout_resumed_total"
 )
-
-// maxRolloutBackoff clamps an overflowed exponential delay when no
-// explicit cap is configured: without it, base << k wraps negative at
-// large k and the delay collapses to an immediate, tight-looping retry.
-const maxRolloutBackoff = time.Hour
 
 // RolloutStatus classifies one target's outcome.
 type RolloutStatus int
@@ -427,29 +423,6 @@ func (o *rolloutOptions) jitterInt63n(n int64) int64 {
 	return o.jitterRng.Int63n(n)
 }
 
-// rolloutBackoff computes the jittered exponential delay before retry k.
-func (o *rolloutOptions) rolloutBackoff(k int) time.Duration {
-	if o.backoffBase <= 0 {
-		return 0
-	}
-	d := o.backoffBase << uint(k)
-	// Detect shift overflow regardless of whether a cap was configured
-	// (shifting back must recover the base exactly); the old guard only
-	// clamped under a positive backoffMax, so an uncapped rollout
-	// retried with no delay at all once k grew past 62.
-	if d <= 0 || d>>uint(k) != o.backoffBase {
-		d = maxRolloutBackoff
-	}
-	if o.backoffMax > 0 && d > o.backoffMax {
-		d = o.backoffMax
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + o.jitterInt63n(2*half))
-}
-
 // targetKey identifies a target within a rollout and its journal.
 func targetKey(instanceID, addr string) string { return instanceID + "|" + addr }
 
@@ -509,7 +482,10 @@ func (p *preStore) get(key string) *snmp.Config {
 // gate may abort the run and roll the wave back to its pre-images (the
 // error is then a *GateError). It returns the report along with the
 // context's error when the rollout was cut short; the report is complete
-// either way (unfinished targets appear as canceled).
+// either way (unfinished targets appear as canceled). A panic in a pool
+// worker — an install, or the WithOnResult callback — halts the rollout
+// the same way and returns as an *obs.PanicError carrying the panic value
+// and stack, counted in nmsl_panics_total{site="rollout"}.
 func DistributeContext(ctx context.Context, m *consistency.Model, targets []Target, opts ...RolloutOption) (*RolloutReport, error) {
 	opt, err := applyRolloutOptions(opts)
 	if err != nil {
@@ -581,21 +557,49 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 
 	report := &RolloutReport{Results: make([]TargetResult, len(targets))}
 	pre := &preStore{m: map[string]*snmp.Config{}}
-	var mu sync.Mutex // serializes onResult, failFast and journal errors
+	var mu sync.Mutex // serializes onResult, failFast, journal errors and panics
 	var journalErr error
+	// panicked is the first panic a pool worker raised (set under mu).
+	// It halts the rollout, and onResult is not called after it.
+	var panicked error
+	recorded := make([]bool, len(targets))
 	record := func(i int, res TargetResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		report.Results[i] = res
+		recorded[i] = true
 		if err := opt.journal.recordResult(res); err != nil && journalErr == nil {
 			journalErr = err
 			cancel() // a journal that stopped persisting voids the crash-safety contract
 		}
-		if opt.onResult != nil {
+		if opt.onResult != nil && panicked == nil {
 			opt.onResult(res)
 		}
 		if opt.failFast && (res.Status == StatusFailed || res.Status == StatusSkipped) {
 			cancel()
+		}
+	}
+	// pool runs fn over the wave on the worker pool. A worker's panic
+	// halts the pool and the rollout: the wave's targets left without a
+	// result are recorded canceled with the panic as their error.
+	pool := func(w waveSpan, fn func(i int)) {
+		err := runPool(w, opt.workers, fn)
+		if err == nil {
+			return
+		}
+		mu.Lock()
+		if panicked == nil {
+			panicked = err
+			if mon {
+				run.Counter(obs.L(snmp.MetricPanics, "site", "rollout")).Inc()
+			}
+		}
+		mu.Unlock()
+		cancel()
+		for i := w.start; i < w.end; i++ {
+			if !recorded[i] {
+				record(i, TargetResult{Target: targets[i], Status: StatusCanceled, Err: panicked})
+			}
 		}
 	}
 
@@ -607,7 +611,10 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 			// Aborted before this wave: mark its targets canceled without
 			// touching the network.
 			for i := w.start; i < w.end; i++ {
-				err := rctx.Err()
+				err := panicked
+				if err == nil {
+					err = rctx.Err()
+				}
 				if err == nil {
 					err = gateErr
 				}
@@ -620,7 +627,7 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 		// Fixed worker pool pulling target indices: a 10k-target wave must
 		// not spawn 10k goroutines just to have a semaphore park most of
 		// them.
-		runPool(w, opt.workers, func(i int) {
+		pool(w, func(i int) {
 			record(i, installTarget(rctx, desired[i], targets[i], opt, pre))
 		})
 
@@ -643,7 +650,7 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 			journalErr = err
 		}
 		mu.Unlock()
-		rollbackWave(rctx, w, targets, report, pre, opt, record)
+		rollbackWave(rctx, w, targets, report, pre, opt, pool, record)
 		finishWave(report, wi, w, waveStart, gerr, opt, &mu)
 	}
 
@@ -704,6 +711,8 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 	}
 	sp.End()
 	switch {
+	case panicked != nil:
+		return report, panicked
 	case journalErr != nil:
 		return report, fmt.Errorf("configgen: journal: %w", journalErr)
 	case gateErr != nil:
@@ -714,31 +723,46 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 }
 
 // runPool runs fn(i) for every index in the wave span over a fixed pool
-// of at most workers goroutines.
-func runPool(w waveSpan, workers int, fn func(i int)) {
+// of at most workers goroutines. A panic in fn halts the pool: no index
+// is handed out after it, and the first panic returns as an
+// *obs.PanicError once every worker has stopped.
+func runPool(w waveSpan, workers int, fn func(i int)) error {
 	n := w.end - w.start
 	if n <= 0 {
-		return
+		return nil
 	}
 	if workers > n {
 		workers = n
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
+	var halt atomic.Bool
+	var panicOnce sync.Once
+	var panicked error
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
+			err := obs.Guard("rollout", func() {
+				for i := range idx {
+					fn(i)
+				}
+			})
+			if err != nil {
+				halt.Store(true)
+				panicOnce.Do(func() { panicked = err })
+				for range idx {
+					// Drain, so the feeder never blocks on a dead worker.
+				}
 			}
 		}()
 	}
-	for i := w.start; i < w.end; i++ {
+	for i := w.start; i < w.end && !halt.Load(); i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+	return panicked
 }
 
 // finishWave summarizes a completed (or cancel-skipped) wave from its
@@ -794,8 +818,8 @@ func evalGate(ctx context.Context, wave []TargetResult, opt *rolloutOptions) err
 
 // rollbackWave restores every installed target of the wave to its
 // captured pre-image, rewriting the wave's results in place.
-func rollbackWave(rctx context.Context, w waveSpan, targets []Target, report *RolloutReport, pre *preStore, opt *rolloutOptions, record func(int, TargetResult)) {
-	runPool(w, opt.workers, func(i int) {
+func rollbackWave(rctx context.Context, w waveSpan, targets []Target, report *RolloutReport, pre *preStore, opt *rolloutOptions, pool func(waveSpan, func(int)), record func(int, TargetResult)) {
+	pool(w, func(i int) {
 		if report.Results[i].Status != StatusInstalled {
 			return
 		}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"nmsl/internal/consistency"
 	"nmsl/internal/netsim"
+	"nmsl/internal/obs"
 	"nmsl/internal/snmp"
 )
 
@@ -241,4 +243,48 @@ func TestJournalNoSyncCrashResume(t *testing.T) {
 		t.Fatalf("resume did not converge: %s", resumed.Summary())
 	}
 	assertExactlyOnce(t, m, targets, agents)
+}
+
+// TestRolloutPanicContained: a WithOnResult callback that panics inside
+// the rollout pool halts the rollout instead of the process.
+// DistributeContext returns the panic with its value and the raising
+// goroutine's stack, counts it under site="rollout", and still reports
+// every target: the ones the halted pool never finished, and the whole
+// later wave, appear as canceled.
+func TestRolloutPanicContained(t *testing.T) {
+	m, err := netsim.Model(netsim.Params{Domains: 10, SystemsPerDomain: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, _, _ := startMemFleet(t, m, "adm", "panics")
+	reg := obs.NewRegistry()
+	calls := 0 // onResult calls are serialized
+	report, err := DistributeContext(context.Background(), m, targets, chaosOpts(
+		WithWorkers(4),
+		WithStages(0.5),
+		WithMetrics(reg),
+		WithOnResult(func(TargetResult) {
+			if calls++; calls == 2 {
+				panic("boom")
+			}
+		}),
+	)...)
+	var pe *obs.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "TestRolloutPanicContained") {
+		t.Fatalf("DistributeContext = %v, want the recovered panic with its stack", err)
+	}
+	if len(report.Results) != len(targets) {
+		t.Fatalf("report covers %d of %d targets", len(report.Results), len(targets))
+	}
+	for _, r := range report.Results {
+		if r.Target.InstanceID == "" {
+			t.Fatal("a target has no result")
+		}
+	}
+	if report.Canceled < len(targets)/2 || report.Installed+report.Canceled+report.Failed+report.Skipped != len(targets) {
+		t.Errorf("want the later wave canceled and every target counted: %s", report.Summary())
+	}
+	if got := report.Metrics.Value(obs.L(snmp.MetricPanics, "site", "rollout")); got != 1 {
+		t.Errorf("nmsl_panics_total{site=rollout} = %d, want 1", got)
+	}
 }

@@ -82,7 +82,7 @@ func (o *rolloutOptions) retry(ctx context.Context, send func(context.Context) e
 			if o.om.on {
 				t0 = time.Now()
 			}
-			sleepRollout(ctx, o.rolloutBackoff(attempts-1))
+			sleepRollout(ctx, snmp.Backoff(o.backoffBase, o.backoffMax, attempts-1, o.jitterInt63n))
 			if o.om.on {
 				o.om.sleep.Add(int64(time.Since(t0)))
 			}

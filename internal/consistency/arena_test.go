@@ -153,107 +153,3 @@ func TestCheckDeltaWarmAllocsBounded(t *testing.T) {
 		}
 	}
 }
-
-// TestSeedColumnsEquivalence: adopting the previous model's columnar
-// tables on the DiffSpecs growth path yields byte-identical check
-// results, for both an edit that keeps the containment relation (adopted
-// ancestry runs) and one that touches a domain (fresh runs, shared
-// domain-id table).
-func TestSeedColumnsEquivalence(t *testing.T) {
-	base := clustersSpec(8)
-	edits := map[string]string{
-		// Process-level change: containment untouched, ancestry adopted.
-		"process": strings.Replace(base, `frequency >= 10 minutes;
-end process pollerC3.`, `frequency >= 20 minutes;
-end process pollerC3.`, 1),
-		// Domain-level change: ancestry rebuilt, id table still shared.
-		"domain": strings.Replace(base, `domain c5 ::=
-    system host-c5;
-end domain c5.`, `domain c5 ::=
-    system host-c5;
-    exports mgmt.mib to "publicroot"
-        access ReadOnly
-        frequency >= 1 minutes;
-end domain c5.`, 1),
-	}
-	for name, edited := range edits {
-		t.Run(name, func(t *testing.T) {
-			if edited == base {
-				t.Fatal("edit did not apply")
-			}
-			oldSpec, newSpec := buildSpec(t, base), buildSpec(t, edited)
-			oldModel := BuildModel(oldSpec)
-			NewChecker(oldModel).Check() // build old columns
-			delta := DeltaFromSpecs(oldSpec, newSpec)
-
-			seeded := BuildModel(newSpec)
-			seeded.SeedColumnsFrom(oldModel, delta)
-			if &seeded.columns().domName[0] != &oldModel.columns().domName[0] {
-				t.Error("seeded columns did not adopt the domain-id table")
-			}
-			fresh := BuildModel(buildSpec(t, edited))
-
-			got := NewChecker(seeded).Check()
-			want := NewChecker(fresh).Check()
-			if got.String() != want.String() {
-				t.Errorf("seeded and fresh reports differ:\nseeded: %swant:   %s", got, want)
-			}
-			gotDelta := NewChecker(seeded).CheckDelta(NewChecker(oldModel).Check(), delta)
-			if gotDelta.String() != want.String() {
-				t.Errorf("seeded delta report differs:\ngot:  %swant: %s", gotDelta, want)
-			}
-		})
-	}
-}
-
-// TestPermsGrantedByLeavesSeedingOpen pins the accessor configgen uses:
-// it answers from the same index the columnar tables hold, in ascending
-// permission order, and reading it before the first check must not
-// consume the once that SeedColumnsFrom needs.
-func TestPermsGrantedByLeavesSeedingOpen(t *testing.T) {
-	base := clustersSpec(8)
-	edited := strings.Replace(base, `frequency >= 10 minutes;
-end process pollerC3.`, `frequency >= 20 minutes;
-end process pollerC3.`, 1)
-	oldSpec, newSpec := buildSpec(t, base), buildSpec(t, edited)
-	oldModel := BuildModel(oldSpec)
-	NewChecker(oldModel).Check()
-
-	m := BuildModel(newSpec)
-	granted := 0
-	for _, in := range m.Instances {
-		pis := m.PermsGrantedBy(in.ID) // an early configgen.Generate
-		granted += len(pis)
-		for k, pi := range pis {
-			if m.Perms[pi].GrantorInst != in.ID {
-				t.Fatalf("%s: perm %d is granted by %q", in.ID, pi, m.Perms[pi].GrantorInst)
-			}
-			if k > 0 && pis[k-1] >= pi {
-				t.Fatalf("%s: perm indexes not ascending: %v", in.ID, pis)
-			}
-		}
-	}
-	want := 0
-	for i := range m.Perms {
-		if m.Perms[i].GrantorInst != "" {
-			want++
-		}
-	}
-	if granted != want || want == 0 {
-		t.Fatalf("index holds %d instance-level perms, model has %d", granted, want)
-	}
-	if m.PermsGrantedBy("nobody@nowhere#0") != nil {
-		t.Error("unknown instance must grant nothing")
-	}
-
-	m.SeedColumnsFrom(oldModel, DeltaFromSpecs(oldSpec, newSpec))
-	co := m.columns()
-	if &co.domName[0] != &oldModel.columns().domName[0] {
-		t.Error("an early PermsGrantedBy turned SeedColumnsFrom into a no-op")
-	}
-	for _, in := range m.Instances {
-		if pis := m.PermsGrantedBy(in.ID); len(pis) > 0 && &pis[0] != &co.permsByInst[in.idx][0] {
-			t.Fatalf("%s: accessor and columns hold different indexes", in.ID)
-		}
-	}
-}

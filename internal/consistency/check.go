@@ -196,12 +196,12 @@ func (c *Checker) flush(sc *scratch) {
 	}
 }
 
-// NewChecker builds a Checker for the model. The columnar tables it
-// checks over are memoized on the Model, so repeated construction (one
+// NewChecker builds a Checker for the model. BuildModel has already
+// written the columnar tables it checks over, so construction (one
 // Checker per CheckContext run, per delta re-check, per service
-// request) costs nothing after the first.
+// request) costs nothing.
 func NewChecker(m *Model) *Checker {
-	return &Checker{m: m, co: m.columns()}
+	return &Checker{m: m, co: &m.co}
 }
 
 // permLevel checks permission pi against the reference, whose guarantee
@@ -308,16 +308,12 @@ func (c *Checker) checkRef(ref *Ref, out *[]Violation, sc *scratch) {
 	// deterministically (the map iteration this replaces did not
 	// guarantee that).
 	for _, d := range co.instDoms(ti) {
-		permIdxs := co.permsByDom[d]
-		if len(permIdxs) == 0 {
-			continue // domain declares no exports, restricts nothing
-		}
-		if co.instHasDom(si, d) {
-			continue // source inside the restricting domain
+		if !co.restricts(d) || co.instHasDom(si, d) {
+			continue // restricts nothing, or the source is inside it
 		}
 		ok := false
 		var near *Perm
-		for _, pi := range permIdxs {
+		for _, pi := range co.permsByDom[d] {
 			level := c.permLevel(pi, si, ref, t, strict, infreq)
 			if level == 3 {
 				ok = true

@@ -79,7 +79,7 @@ type closures struct {
 // BuildDB asserts.
 func (m *Model) containmentEdges() map[string][]string {
 	edges := map[string][]string{}
-	for _, name := range m.Spec.DomainNames() {
+	for _, name := range m.co.domName {
 		d := m.Spec.Domains[name]
 		edges[name] = append(edges[name], d.Subdomains...)
 		edges[name] = append(edges[name], d.Systems...)
@@ -139,23 +139,4 @@ func (m *Model) closures() *closures {
 		m.clos = cl
 	})
 	return m.clos
-}
-
-// sortedPartyDomains returns the cached, sorted list of domains
-// transitively containing the party: the deterministic form the
-// fingerprint encoder hashes. It reads partyDomains alone, so a delta
-// check of a fresh model never pays for the closures above.
-func (m *Model) sortedPartyDomains(id string) []string {
-	m.partyOnce.Do(func() {
-		m.partySorted = make(map[string][]string, len(m.partyDomains))
-		for id, set := range m.partyDomains {
-			doms := make([]string, 0, len(set))
-			for d := range set {
-				doms = append(doms, d)
-			}
-			sort.Strings(doms)
-			m.partySorted[id] = doms
-		}
-	})
-	return m.partySorted[id]
 }

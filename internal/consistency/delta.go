@@ -76,11 +76,15 @@ func (ds *deltaSets) partyTouched(m *Model, in *Instance) bool {
 	if in.Domain != "" && ds.domains[in.Domain] {
 		return true
 	}
+	var oldIn *Instance
+	if ds.oldModel != nil {
+		oldIn = ds.oldModel.byID[in.ID]
+	}
 	for d := range ds.domains {
-		if m.partyDomains[in.ID][d] {
+		if m.co.instHasDom(in.idx, m.co.domID(d)) {
 			return true
 		}
-		if ds.oldModel != nil && ds.oldModel.partyDomains[in.ID][d] {
+		if oldIn != nil && ds.oldModel.co.instHasDom(oldIn.idx, ds.oldModel.co.domID(d)) {
 			return true
 		}
 	}

@@ -126,15 +126,15 @@ func (c *Checker) fingerprint(ref *Ref, sc *scratch) [32]byte {
 		}
 	}
 
-	// Containment ancestry of both parties (sorted, cached): grantee
-	// cover checks for the source, grantor/restriction domains for the
-	// target.
-	for _, d := range m.sortedPartyDomains(ref.Source.ID) {
-		e.str(d)
+	// Containment ancestry of both parties, by name in id (so sorted
+	// name) order: grantee cover checks for the source,
+	// grantor/restriction domains for the target.
+	for _, d := range c.co.instDoms(ref.Source.idx) {
+		e.str(c.co.domName[d])
 	}
 	e.str("\x02end-src")
-	for _, d := range m.sortedPartyDomains(ref.Target.ID) {
-		e.str(d)
+	for _, d := range c.co.instDoms(ref.Target.idx) {
+		e.str(c.co.domName[d])
 	}
 	e.str("\x02end-tgt")
 

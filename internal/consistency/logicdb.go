@@ -55,7 +55,7 @@ func buildDB(m *Model, materialize bool) *logic.DB {
 	db := logic.NewDB()
 
 	// contains/2 facts: administrative containment.
-	for _, name := range m.Spec.DomainNames() {
+	for _, name := range m.co.domName {
 		d := m.Spec.Domains[name]
 		for _, sub := range d.Subdomains {
 			db.Assert(logic.Comp("contains", logic.Atom(name), logic.Atom(sub)))
@@ -370,11 +370,8 @@ func AdmissiblePeriods(m *Model, srcID, tgtID string, varNode *mib.Node, access 
 		return nil
 	}
 	// Intersect with each restricting domain's own grants.
-	for dom := range m.partyDomains[tgtID] {
-		if !m.restrictingDomain(dom) {
-			continue
-		}
-		if m.partyInDomain(srcID, dom) {
+	for _, dom := range m.PartyDomains(tgtID) {
+		if !m.Restricts(dom) || m.PartyInDomain(srcID, dom) {
 			continue
 		}
 		T := logic.NewVar("T")
@@ -399,10 +396,4 @@ func AdmissiblePeriods(m *Model, srcID, tgtID string, varNode *mib.Node, access 
 		}
 	}
 	return result
-}
-
-// restrictingDomain reports whether the domain declares exports.
-func (m *Model) restrictingDomain(dom string) bool {
-	d := m.Spec.Domains[dom]
-	return d != nil && len(d.Exports) > 0
 }

@@ -39,7 +39,6 @@ package consistency
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"nmsl/internal/ast"
@@ -188,36 +187,18 @@ type Model struct {
 	// extension clause (section 3.1).
 	Proxies []Proxy
 
-	// domainUp maps a domain to every domain containing it (transitive,
-	// exclusive).
-	domainUp map[string][]string
-	// systemDomains maps a system name to the domains that list it
-	// directly as a member.
-	systemDomains map[string][]string
-	// partyDomains maps an instance ID (and each system name) to the set
-	// of domains containing it, transitively.
-	partyDomains map[string]map[string]bool
-	byProc       map[string][]*Instance
-	bySystem     map[string][]*Instance
-	byID         map[string]*Instance
+	byProc   map[string][]*Instance
+	bySystem map[string][]*Instance
+	byID     map[string]*Instance
+	// co holds the dense id tables — containment, grantor indexes and
+	// support views (columns.go) — written once by BuildModel.
+	co columns
 
 	// closOnce/clos lazily materialize the containment closures the
 	// logic DB compiler asserts (closures.go); the model itself is
 	// read-only after BuildModel.
 	closOnce sync.Once
 	clos     *closures
-	// partyOnce/partySorted lazily hold partyDomains as sorted slices
-	// for the result-cache fingerprints (sortedPartyDomains).
-	partyOnce   sync.Once
-	partySorted map[string][]string
-	// colsOnce/cols lazily build the columnar interned tables the hot
-	// check path runs over (columns.go); immutable once built.
-	colsOnce sync.Once
-	cols     *columns
-	// instPermsOnce/instPerms index Perms by granting instance, apart
-	// from colsOnce so configgen can read it (instPermIndex, columns.go).
-	instPermsOnce sync.Once
-	instPerms     [][]int32
 	// fleetOnce/fleet hold configgen's desired fleet state, derived once
 	// per model (FleetState); the checker never reads it.
 	fleetOnce sync.Once
@@ -235,84 +216,32 @@ type UnresolvedTarget struct {
 	Reason string
 }
 
-// BuildModel extracts the consistency model from a linked specification.
+// BuildModel extracts the consistency model from a linked
+// specification, writing the dense id tables as it goes.
 func BuildModel(spec *ast.Spec) *Model {
 	m := &Model{
-		Spec:          spec,
-		domainUp:      map[string][]string{},
-		systemDomains: map[string][]string{},
-		partyDomains:  map[string]map[string]bool{},
-		byProc:        map[string][]*Instance{},
-		bySystem:      map[string][]*Instance{},
-		byID:          map[string]*Instance{},
+		Spec:     spec,
+		byProc:   map[string][]*Instance{},
+		bySystem: map[string][]*Instance{},
+		byID:     map[string]*Instance{},
 	}
-	m.buildDomainClosure()
-	m.buildInstances()
+	names := spec.DomainNames()
+	sysDoms := m.co.numberDomains(spec, names)
+	m.buildInstances(sysDoms)
 	m.buildPerms()
 	m.buildRefs()
 	m.buildProxies()
 	return m
 }
 
-// buildDomainClosure computes, for every domain, the set of domains that
-// contain it (the contains transitive closure of Figure 4.9, restricted
-// to domains).
-func (m *Model) buildDomainClosure() {
-	parents := map[string][]string{}
-	for _, name := range m.Spec.DomainNames() {
-		for _, sub := range m.Spec.Domains[name].Subdomains {
-			parents[sub] = append(parents[sub], name)
-		}
-	}
-	var up func(name string, seen map[string]bool)
-	up = func(name string, seen map[string]bool) {
-		for _, p := range parents[name] {
-			if !seen[p] {
-				seen[p] = true
-				up(p, seen)
-			}
-		}
-	}
-	for _, name := range m.Spec.DomainNames() {
-		seen := map[string]bool{}
-		up(name, seen)
-		var list []string
-		for d := range seen {
-			list = append(list, d)
-		}
-		sort.Strings(list)
-		m.domainUp[name] = list
-		for _, sys := range m.Spec.Domains[name].Systems {
-			m.systemDomains[sys] = append(m.systemDomains[sys], name)
-		}
-	}
+// hostTables is what every instance of one host shares: its containment
+// run and its element view.
+type hostTables struct {
+	run     span
+	sysView []*mib.Node
 }
 
-// domainsOfParty returns the up-closed set of domains containing a party
-// (an instance hosted on a system or in a domain).
-func (m *Model) domainsOfParty(hostSystem, hostDomain string) map[string]bool {
-	set := map[string]bool{}
-	addDomain := func(d string) {
-		if set[d] {
-			return
-		}
-		set[d] = true
-		for _, upd := range m.domainUp[d] {
-			set[upd] = true
-		}
-	}
-	if hostDomain != "" {
-		addDomain(hostDomain)
-	}
-	if hostSystem != "" {
-		for _, name := range m.systemDomains[hostSystem] {
-			addDomain(name)
-		}
-	}
-	return set
-}
-
-func (m *Model) addInstance(in *Instance) {
+func (m *Model) addInstance(in *Instance, host hostTables, procViews map[string][]*mib.Node) {
 	in.idx = int32(len(m.Instances))
 	m.Instances = append(m.Instances, in)
 	m.byProc[in.Proc.Name] = append(m.byProc[in.Proc.Name], in)
@@ -320,12 +249,26 @@ func (m *Model) addInstance(in *Instance) {
 		m.bySystem[in.System] = append(m.bySystem[in.System], in)
 	}
 	m.byID[in.ID] = in
-	m.partyDomains[in.ID] = m.domainsOfParty(in.System, in.Domain)
+	pv, ok := procViews[in.Proc.Name]
+	if !ok {
+		pv = m.resolveView(in.Proc.Supports)
+		procViews[in.Proc.Name] = pv
+	}
+	m.co.instRun = append(m.co.instRun, host.run)
+	m.co.procView = append(m.co.procView, pv)
+	m.co.sysView = append(m.co.sysView, host.sysView)
 }
 
-func (m *Model) buildInstances() {
+// buildInstances numbers the instances, system-hosted first, and writes
+// each host's containment run once.
+func (m *Model) buildInstances(sysDoms map[string][]int32) {
+	procViews := map[string][]*mib.Node{}
 	for _, sysName := range m.Spec.SystemNames() {
 		ss := m.Spec.Systems[sysName]
+		if len(ss.Processes) == 0 {
+			continue
+		}
+		host := hostTables{run: m.co.addRun(sysDoms[sysName]...), sysView: m.resolveView(ss.Supports)}
 		for i, pi := range ss.Processes {
 			proc := m.Spec.Processes[pi.Name]
 			if proc == nil {
@@ -336,11 +279,15 @@ func (m *Model) buildInstances() {
 				Proc:   proc,
 				System: sysName,
 				Args:   pi.Args,
-			})
+			}, host, procViews)
 		}
 	}
-	for _, domName := range m.Spec.DomainNames() {
+	for d, domName := range m.co.domName {
 		ds := m.Spec.Domains[domName]
+		if len(ds.Processes) == 0 {
+			continue
+		}
+		host := hostTables{run: m.co.addRun(int32(d))}
 		for i, pi := range ds.Processes {
 			proc := m.Spec.Processes[pi.Name]
 			if proc == nil {
@@ -351,9 +298,21 @@ func (m *Model) buildInstances() {
 				Proc:   proc,
 				Domain: domName,
 				Args:   pi.Args,
-			})
+			}, host, procViews)
 		}
 	}
+}
+
+// resolveView resolves a support view's patterns; unresolvable ones drop
+// out, as viewCovers skips them.
+func (m *Model) resolveView(view []string) []*mib.Node {
+	nodes := make([]*mib.Node, 0, len(view))
+	for _, v := range view {
+		if n := m.resolveVar(v); n != nil {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
 }
 
 // resolveVar resolves a dotted MIB name, which linking already validated.
@@ -367,11 +326,30 @@ func (m *Model) resolveVar(path string) *mib.Node {
 	return n
 }
 
-func permFromExport(ex ast.Export, node *mib.Node) (minPeriod float64, strict bool) {
+func permFromExport(ex ast.Export) (minPeriod float64, strict bool) {
 	return ex.Freq.MinPeriodSeconds(), ex.Freq.Op == ">"
 }
 
+// buildPerms extracts the permissions and writes their id columns and
+// grantor indexes alongside. Appending in permission order keeps every
+// index list ascending, which candidatePerms and the fingerprint encoder
+// rely on.
 func (m *Model) buildPerms() {
+	co := &m.co
+	co.permsByInst = make([][]int32, len(m.Instances))
+	co.permsByDom = make([][]int32, len(co.domName))
+	add := func(p Perm, grantorInst, grantorDom int32) {
+		pi := int32(len(m.Perms))
+		m.Perms = append(m.Perms, p)
+		co.permGrantee = append(co.permGrantee, co.domID(p.Grantee))
+		co.permGrantorInst = append(co.permGrantorInst, grantorInst)
+		co.permGrantorDom = append(co.permGrantorDom, grantorDom)
+		if grantorInst >= 0 {
+			co.permsByInst[grantorInst] = append(co.permsByInst[grantorInst], pi)
+		} else {
+			co.permsByDom[grantorDom] = append(co.permsByDom[grantorDom], pi)
+		}
+	}
 	// Process-level exports: every instance of the type grants them.
 	for _, procName := range m.Spec.ProcessNames() {
 		ps := m.Spec.Processes[procName]
@@ -381,9 +359,9 @@ func (m *Model) buildPerms() {
 				if node == nil {
 					continue
 				}
-				minP, strict := permFromExport(ex, node)
+				minP, strict := permFromExport(ex)
 				for _, in := range m.byProc[procName] {
-					m.Perms = append(m.Perms, Perm{
+					add(Perm{
 						Grantee:     ex.To,
 						GrantorInst: in.ID,
 						DeclaredBy:  "process " + procName,
@@ -391,13 +369,13 @@ func (m *Model) buildPerms() {
 						Access:      ex.Access,
 						MinPeriod:   minP,
 						Strict:      strict,
-					})
+					}, in.idx, -1)
 				}
 			}
 		}
 	}
 	// Domain-level exports.
-	for _, domName := range m.Spec.DomainNames() {
+	for d, domName := range co.domName {
 		ds := m.Spec.Domains[domName]
 		for _, ex := range ds.Exports {
 			for _, v := range ex.Vars {
@@ -405,8 +383,8 @@ func (m *Model) buildPerms() {
 				if node == nil {
 					continue
 				}
-				minP, strict := permFromExport(ex, node)
-				m.Perms = append(m.Perms, Perm{
+				minP, strict := permFromExport(ex)
+				add(Perm{
 					Grantee:       ex.To,
 					GrantorDomain: domName,
 					DeclaredBy:    "domain " + domName,
@@ -414,27 +392,10 @@ func (m *Model) buildPerms() {
 					Access:        ex.Access,
 					MinPeriod:     minP,
 					Strict:        strict,
-				})
+				}, -1, int32(d))
 			}
 		}
 	}
-}
-
-// effectiveSupports reports whether instance in supports data at node:
-// the process view must cover it, and for system-hosted instances the
-// element's view must cover it too (section 4.1.4: the element lists the
-// MIB portion its hardware and OS support).
-func (m *Model) effectiveSupports(in *Instance, node *mib.Node) bool {
-	if !m.viewCovers(in.Proc.Supports, node) {
-		return false
-	}
-	if in.System != "" {
-		ss := m.Spec.Systems[in.System]
-		if ss != nil && !m.viewCovers(ss.Supports, node) {
-			return false
-		}
-	}
-	return true
 }
 
 func (m *Model) viewCovers(view []string, node *mib.Node) bool {
@@ -483,7 +444,7 @@ func (m *Model) resolveTargets(in *Instance, q *ast.Query) ([]*Instance, TargetR
 			all := true
 			for _, rv := range q.Requests {
 				node := m.resolveVar(rv)
-				if node == nil || !m.effectiveSupports(cand, node) {
+				if node == nil || !m.co.supports(cand.idx, node) {
 					all = false
 					break
 				}
@@ -567,32 +528,35 @@ func (m *Model) FleetState(build func() any) any {
 // PermsGrantedBy returns the indexes into Perms of the process-level
 // permissions the instance grants, ascending (so in Perms order); nil
 // for an unknown instance or one that grants nothing. The slice is
-// shared with the checker: callers must not modify it. Calling this
-// before the model's first check does not pre-empt SeedColumnsFrom.
+// shared with the checker: callers must not modify it.
 func (m *Model) PermsGrantedBy(instID string) []int32 {
 	in := m.byID[instID]
 	if in == nil {
 		return nil
 	}
-	return m.instPermIndex()[in.idx]
+	return m.co.permsByInst[in.idx]
 }
 
 // PartyDomains returns the sorted set of domains containing the party
 // (instance ID), transitively.
 func (m *Model) PartyDomains(instID string) []string {
-	set := m.partyDomains[instID]
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
+	in := m.byID[instID]
+	if in == nil {
+		return []string{}
 	}
-	sort.Strings(out)
+	run := m.co.instDoms(in.idx)
+	out := make([]string, len(run))
+	for k, d := range run {
+		out[k] = m.co.domName[d]
+	}
 	return out
 }
 
 // PartyInDomain reports whether the party (instance ID) is contained in
 // the domain, transitively.
 func (m *Model) PartyInDomain(instID, domain string) bool {
-	return m.partyInDomain(instID, domain)
+	in := m.byID[instID]
+	return in != nil && m.co.instHasDom(in.idx, m.co.domID(domain))
 }
 
 // GrantedCommunity returns the identity (grantee domain) a reference's
@@ -602,53 +566,41 @@ func (m *Model) PartyInDomain(instID, domain string) bool {
 // consistent specifications. When several grantees qualify the
 // lexicographically first is returned, so callers are deterministic.
 func (m *Model) GrantedCommunity(ref *Ref) string {
+	co := &m.co
 	best := ""
-	for i := range m.Perms {
-		p := &m.Perms[i]
-		if p.GrantorInst != "" && p.GrantorInst != ref.Target.ID {
-			continue
+	consider := func(pis []int32) {
+		for _, pi := range pis {
+			p := &m.Perms[pi]
+			if !co.instHasDom(ref.Source.idx, co.permGrantee[pi]) {
+				continue
+			}
+			if !p.Var.Contains(ref.Var) || !p.Access.Allows(ref.Access) {
+				continue
+			}
+			if best == "" || p.Grantee < best {
+				best = p.Grantee
+			}
 		}
-		if p.GrantorDomain != "" && !m.partyInDomain(ref.Target.ID, p.GrantorDomain) {
-			continue
-		}
-		if !m.partyInDomain(ref.Source.ID, p.Grantee) {
-			continue
-		}
-		if !p.Var.Contains(ref.Var) || !p.Access.Allows(ref.Access) {
-			continue
-		}
-		if best == "" || p.Grantee < best {
-			best = p.Grantee
-		}
+	}
+	consider(co.permsByInst[ref.Target.idx])
+	for _, d := range co.instDoms(ref.Target.idx) {
+		consider(co.permsByDom[d])
 	}
 	return best
 }
 
 // DomainContains reports whether outer contains inner (or equals it).
 func (m *Model) DomainContains(outer, inner string) bool {
-	return m.domainContainsDomain(outer, inner)
-}
-
-// Restricts reports whether the domain declares exports (and therefore
-// restricts outside access to its members).
-func (m *Model) Restricts(dom string) bool { return m.restrictingDomain(dom) }
-
-// partyInDomain reports whether the party (instance ID) is contained in
-// the domain, transitively.
-func (m *Model) partyInDomain(instID, domain string) bool {
-	return m.partyDomains[instID][domain]
-}
-
-// domainContainsDomain reports whether outer contains inner (strictly or
-// equal).
-func (m *Model) domainContainsDomain(outer, inner string) bool {
 	if outer == inner {
 		return true
 	}
-	for _, d := range m.domainUp[inner] {
-		if d == outer {
-			return true
-		}
-	}
-	return false
+	in := m.co.domID(inner)
+	return in >= 0 && runHas(m.co.domUp(in), m.co.domID(outer))
+}
+
+// Restricts reports whether the domain restricts outside access to its
+// members, which it does by declaring exports.
+func (m *Model) Restricts(dom string) bool {
+	d := m.co.domID(dom)
+	return d >= 0 && m.co.restricts(d)
 }

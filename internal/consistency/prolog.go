@@ -223,7 +223,7 @@ func WriteFacts(w io.Writer, m *Model) error {
 			return err
 		}
 	}
-	for _, name := range m.Spec.DomainNames() {
+	for _, name := range m.co.domName {
 		d := m.Spec.Domains[name]
 		for _, sub := range d.Subdomains {
 			if err := write("contains", logic.Atom(name), logic.Atom(sub)); err != nil {

@@ -2,9 +2,7 @@ package consistency
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -251,8 +249,8 @@ func (r *run) shard(ctx context.Context, step refChecker, lo, hi int, out *[]Vio
 }
 
 // inline is the pool of one: step checks the shards in order on the
-// caller's goroutine, appending straight into rep. A panic returns as a
-// *workerPanic.
+// caller's goroutine, appending straight into rep. A panic returns as an
+// *obs.PanicError.
 func (r *run) inline(ctx context.Context, rep *Report, step refChecker, shards [][2]int) error {
 	return guard(func() {
 		w := r.startWorker(nil)
@@ -338,27 +336,9 @@ func (r *run) tail(ctx context.Context, rep *Report) error {
 	return guard(func() { r.emit(nil, rep.Violations[before:]) })
 }
 
-// workerPanic is a panic recovered from a check worker, with the stack
-// it was raised on.
-type workerPanic struct {
-	value any
-	stack []byte
-}
-
-func (p *workerPanic) Error() string {
-	return fmt.Sprintf("consistency check panicked: %v\n\n%s", p.value, p.stack)
-}
-
-// guard runs fn and returns a panic inside it as a *workerPanic.
-func guard(fn func()) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &workerPanic{value: v, stack: debug.Stack()}
-		}
-	}()
-	fn()
-	return nil
-}
+// guard runs a check worker under obs.Guard: a panic inside fn returns
+// as an *obs.PanicError.
+func guard(fn func()) error { return obs.Guard("consistency check", fn) }
 
 // CheckContext runs the consistency check over a bounded worker pool,
 // honoring ctx for cancellation and deadline. A completed run returns a

@@ -220,8 +220,8 @@ func TestCheckPanicContained(t *testing.T) {
 			Workers:     w,
 			OnViolation: func(Violation) { panic("boom") },
 		})
-		var wp *workerPanic
-		if !errors.As(err, &wp) || wp.value != "boom" || !strings.Contains(err.Error(), "TestCheckPanicContained") {
+		var wp *obs.PanicError
+		if !errors.As(err, &wp) || wp.Value != "boom" || !strings.Contains(err.Error(), "TestCheckPanicContained") {
 			t.Errorf("workers=%d: err = %v, want the recovered panic with the worker's stack", w, err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestCheckPanicContained(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if _, ok := recover().(*workerPanic); !ok {
+				if _, ok := recover().(*obs.PanicError); !ok {
 					t.Errorf("%s did not re-raise the worker's panic", name)
 				}
 			}()

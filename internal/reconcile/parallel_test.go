@@ -2,11 +2,14 @@ package reconcile
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"nmsl/internal/netsim"
 	"nmsl/internal/obs"
+	"nmsl/internal/snmp"
 )
 
 // TestParallelSweepMatchesSerial: a sharded sweep over a drifted fleet
@@ -105,5 +108,47 @@ func TestParallelSweepQuarantinesPerShard(t *testing.T) {
 	}
 	if sw.Open != len(targets) {
 		t.Errorf("Open = %d, want %d", sw.Open, len(targets))
+	}
+}
+
+// TestParallelSweepPanicContained: an OnEvent callback that panics
+// inside a sweep shard halts the sweep instead of the process. RunOnce
+// returns the panic with its value and the raising goroutine's stack,
+// counts it under site="reconcile", and the reconciler keeps working:
+// the event lock is released, so the next sweep runs.
+func TestParallelSweepPanicContained(t *testing.T) {
+	m, err := netsim.Model(netsim.Params{Domains: 2, SystemsPerDomain: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, _ := startFleet(t, m, emptyConfig)
+	reg := obs.NewRegistry()
+	armed := true
+	r, err := New(m, targets,
+		WithSeed(4),
+		WithSweepWorkers(4),
+		WithRetries(1),
+		WithAttemptTimeout(300*time.Millisecond),
+		WithMetrics(reg),
+		WithOnEvent(func(Event) {
+			if armed {
+				panic("boom")
+			}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.RunOnce(context.Background())
+	var pe *obs.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "TestParallelSweepPanicContained") {
+		t.Fatalf("RunOnce = %v, want the recovered panic with its stack", err)
+	}
+	if got := reg.Snapshot().Value(obs.L(snmp.MetricPanics, "site", "reconcile")); got != 1 {
+		t.Errorf("nmsl_panics_total{site=reconcile} = %d, want 1", got)
+	}
+	armed = false
+	if _, err := r.RunOnce(context.Background()); err != nil {
+		t.Fatalf("sweep after a contained panic: %v", err)
 	}
 }

@@ -330,8 +330,8 @@ func key(tgt configgen.Target) string { return tgt.InstanceID + "|" + tgt.Addr }
 func (r *Reconciler) emit(kind EventKind, tgt configgen.Target, detail string) {
 	if r.opt.onEvent != nil {
 		r.emitMu.Lock()
+		defer r.emitMu.Unlock() // a panicking sink must not wedge the other shards
 		r.opt.onEvent(Event{Kind: kind, Instance: tgt.InstanceID, Addr: tgt.Addr, Detail: detail})
-		r.emitMu.Unlock()
 	}
 }
 
@@ -415,7 +415,11 @@ func (r *Reconciler) dial(t target) (*snmp.Client, error) {
 // RunOnce performs a single reconciliation sweep over the fleet and
 // returns its summary. With WithSweepWorkers(n>1) the shards sweep
 // concurrently and their summaries merge. The context cancels the sweep
-// mid-fleet; the partial summary is returned with the context's error.
+// mid-fleet; the partial summary is returned with the context's error. A
+// panic in a shard — including one raised by the WithOnEvent callback —
+// ends that shard's sweep; once the other shards finish, RunOnce returns
+// the first panic as an *obs.PanicError carrying the panic value and
+// stack, counted in nmsl_panics_total{site="reconcile"}.
 func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 	reg := r.opt.metrics
 	if reg == nil {
@@ -427,9 +431,25 @@ func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 	sp := obs.StartSpan("reconcile.sweep")
 	defer sp.End()
 
+	// sweep runs one shard under obs.Guard: a panic (in the sweep or an
+	// OnEvent callback) ends that shard and becomes the sweep's error.
+	var panicOnce sync.Once
+	var panicked error
+	sweep := func(sd *shard, sw *Sweep) (err error) {
+		if perr := obs.Guard("reconcile sweep", func() { err = r.sweepShard(ctx, sd, sw, reg, mon) }); perr != nil {
+			panicOnce.Do(func() {
+				panicked = perr
+				if mon {
+					reg.Counter(obs.L(snmp.MetricPanics, "site", "reconcile")).Inc()
+				}
+			})
+			return perr
+		}
+		return err
+	}
 	var err error
 	if len(r.shards) == 1 {
-		err = r.sweepShard(ctx, r.shards[0], sw, reg, mon)
+		err = sweep(r.shards[0], sw)
 	} else {
 		sws := make([]*Sweep, len(r.shards))
 		errs := make([]error, len(r.shards))
@@ -439,7 +459,7 @@ func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 			go func(si int, sd *shard) {
 				defer wg.Done()
 				sws[si] = &Sweep{}
-				errs[si] = r.sweepShard(ctx, sd, sws[si], reg, mon)
+				errs[si] = sweep(sd, sws[si])
 			}(si, sd)
 		}
 		wg.Wait()
@@ -455,6 +475,9 @@ func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 				err = errs[si]
 			}
 		}
+	}
+	if panicked != nil {
+		err = panicked
 	}
 	if err != nil {
 		return sw, err

@@ -422,22 +422,6 @@ func TestSplitClauseAnonymousLead(t *testing.T) {
 	}
 }
 
-func TestDomainsContaining(t *testing.T) {
-	spec := analyze(t, paperspec.Combined)
-	got := spec.DomainsContaining("romano.cs.wisc.edu")
-	if len(got) != 2 || got[0] != "public" || got[1] != "wisc-cs" {
-		t.Fatalf("got %v", got)
-	}
-	// nested containment
-	src := paperspec.Combined + `
-domain campus ::= domain wisc-cs; end domain campus.`
-	spec2 := analyze(t, src)
-	got2 := spec2.DomainsContaining("romano.cs.wisc.edu")
-	if len(got2) != 3 || got2[0] != "campus" || got2[1] != "public" || got2[2] != "wisc-cs" {
-		t.Fatalf("got %v", got2)
-	}
-}
-
 func TestGenerateUnknownTagIsEmpty(t *testing.T) {
 	f, err := parser.Parse("t", paperspec.Combined)
 	if err != nil {

@@ -143,35 +143,35 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("snmp: agent returned %s (index %d)", e.Status, e.Index)
 }
 
-// maxBackoff clamps an overflowed exponential delay when no explicit cap
+// MaxBackoff clamps an overflowed exponential delay when no explicit cap
 // is configured: without it, base << k wraps negative at large k and the
 // delay collapses to an immediate, tight-looping retry.
-const maxBackoff = time.Hour
+const MaxBackoff = time.Hour
 
-// backoffDelay computes the jittered exponential delay before retry
-// attempt k (k = 0 for the first retransmit).
-func (c *Client) backoffDelay(k int) time.Duration {
-	if c.backoffBase <= 0 {
+// Backoff computes the jittered exponential delay before retry attempt k
+// (k = 0 for the first retry): base·2^k, clamped to max when max > 0,
+// then jittered uniformly in [d/2, 3d/2) by one draw of int63n so a
+// fleet of retrying installers does not retransmit in lockstep. The
+// client passes the global generator; a rollout passes its own, seeded
+// one. A non-positive base means no delay.
+func Backoff(base, max time.Duration, k int, int63n func(int64) int64) time.Duration {
+	if base <= 0 {
 		return 0
 	}
-	d := c.backoffBase << uint(k)
-	// Detect shift overflow regardless of whether a cap was configured
-	// (shifting back must recover the base exactly); the old guard only
-	// clamped under a positive backoffMax, so an uncapped client
-	// retransmitted with no delay at all once k grew past 62.
-	if d <= 0 || d>>uint(k) != c.backoffBase {
-		d = maxBackoff
+	d := base << uint(k)
+	// Detect shift overflow whether or not a cap is configured: shifting
+	// back must recover the base exactly.
+	if d <= 0 || d>>uint(k) != base {
+		d = MaxBackoff
 	}
-	if c.backoffMax > 0 && d > c.backoffMax {
-		d = c.backoffMax
+	if max > 0 && d > max {
+		d = max
 	}
-	// Jitter uniformly in [d/2, 3d/2) so a fleet of retrying installers
-	// does not retransmit in lockstep.
 	half := int64(d / 2)
 	if half <= 0 {
 		return d
 	}
-	return time.Duration(half + rand.Int63n(2*half))
+	return time.Duration(half + int63n(2*half))
 }
 
 // roundTrip sends the PDU and waits for the matching response,
@@ -220,7 +220,7 @@ func (c *Client) roundTripID(ctx context.Context, id int32, pduType byte, bindin
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, c.backoffDelay(attempt-1)); err != nil {
+			if err := sleepCtx(ctx, Backoff(c.backoffBase, c.backoffMax, attempt-1, rand.Int63n)); err != nil {
 				return nil, err
 			}
 		}

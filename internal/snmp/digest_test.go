@@ -1,6 +1,7 @@
 package snmp
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -100,20 +101,18 @@ func TestAdminFetchConfig(t *testing.T) {
 // bug: with backoffMax 0, base << k wrapped negative at large k and the
 // guard never clamped, so retries tight-looped with zero delay.
 func TestBackoffDelayOverflow(t *testing.T) {
-	c := &Client{backoffBase: 50 * time.Millisecond, backoffMax: 0}
 	for _, k := range []int{40, 62, 63, 64, 100, 1000} {
-		d := c.backoffDelay(k)
+		d := Backoff(50*time.Millisecond, 0, k, rand.Int63n)
 		if d <= 0 {
 			t.Errorf("k=%d: delay %v, want positive (overflow not clamped)", k, d)
 		}
-		if d > maxBackoff+maxBackoff/2 {
-			t.Errorf("k=%d: delay %v exceeds jittered clamp %v", k, d, maxBackoff+maxBackoff/2)
+		if d > MaxBackoff+MaxBackoff/2 {
+			t.Errorf("k=%d: delay %v exceeds jittered clamp %v", k, d, MaxBackoff+MaxBackoff/2)
 		}
 	}
 	// With a cap configured the clamp must land at the cap, jitter aside.
-	c.backoffMax = 2 * time.Second
 	for _, k := range []int{40, 63, 100} {
-		d := c.backoffDelay(k)
+		d := Backoff(50*time.Millisecond, 2*time.Second, k, rand.Int63n)
 		if d <= 0 || d > 3*time.Second {
 			t.Errorf("capped k=%d: delay %v outside (0, 3s]", k, d)
 		}

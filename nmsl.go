@@ -408,12 +408,6 @@ func (s *Specification) Check() *Report {
 // returned Report is identical to a full Check; on a one-declaration
 // edit of a large specification it arrives an order of magnitude faster.
 func (s *Specification) CheckDelta(prev *Report, delta *ModelDelta, cache *CheckCache) *Report {
-	if prev != nil {
-		// Growth path: when prev belongs to the pre-edit revision, adopt
-		// the parts of its columnar tables the delta provably left
-		// unchanged instead of re-interning them (columns.go).
-		s.model.SeedColumnsFrom(prev.Model, delta)
-	}
 	chk := consistency.NewChecker(s.model)
 	chk.Cache = cache
 	return chk.CheckDelta(prev, delta)
