@@ -76,7 +76,11 @@ race:
 # in the timings, each measuring both of its sizes in the one run:
 # configgen.Generate's cost per agent at 20,000 agents within 4x of its
 # cost at 2,000, and the compiler's time and bytes per source line at
-# 10,000 domains within 1.5x of those at 1,000.
+# 10,000 domains within 1.5x of those at 1,000. Time is the test
+# process's own CPU time (getrusage user + sys) with the collector off;
+# five rounds each time both sizes back to back over the same amount of
+# work, and the gate reads the median of the rounds' ratios, so other
+# processes sharing the CPUs do not move them.
 linear:
 	$(GO) test -run 'TestGenerateLinear' -count=1 -v ./internal/configgen
 	$(GO) test -run 'TestCompileLinear' -count=1 -v .

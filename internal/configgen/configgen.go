@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,13 +301,18 @@ func ParseSnmpdConf(r io.Reader) (*snmp.Config, error) {
 				return nil, fmt.Errorf("line %d: %s", lineNo, err)
 			}
 			secs, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
+			ns := math.Round(secs * float64(time.Second))
+			if err != nil || !(math.Abs(ns) < 1<<62) {
 				return nil, fmt.Errorf("line %d: bad interval %q", lineNo, fields[3])
 			}
-			cc := &snmp.CommunityConfig{
-				Access:      acc,
-				MinInterval: time.Duration(secs * float64(time.Second)),
+			// The writer's %g carries at most 17 digits, too few for the
+			// nanoseconds past 2^51 ns (about 26 days); whole seconds
+			// there are what it writes back exactly.
+			iv := time.Duration(ns)
+			if iv.Abs() >= 1<<51 {
+				iv = iv.Round(time.Second)
 			}
+			cc := &snmp.CommunityConfig{Access: acc, MinInterval: iv}
 			for _, vs := range strings.Split(fields[4], ",") {
 				spec := vs
 				mode := mib.AccessUnspecified

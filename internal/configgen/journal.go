@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"nmsl/internal/consistency"
+	"nmsl/internal/obs"
 	"nmsl/internal/snmp"
 )
 
@@ -419,7 +420,12 @@ func ResumeRollout(ctx context.Context, m *consistency.Model, journalPath string
 // with a captured pre-image but no result at all (the crash window —
 // the install may or may not have landed). Targets whose live digest
 // already equals the pre-image are left alone. The report covers only
-// the rollback candidates; OK() is false if any restore failed.
+// the rollback candidates; OK() is false if any restore failed. The
+// candidates run over the rollout's worker pool and record their results
+// the way a rollout does: a panic in a restore or in the WithOnResult
+// callback halts the rollback, the candidates left without a result are
+// recorded canceled, and the panic returns as an *obs.PanicError,
+// counted in nmsl_panics_total{site="rollout"}.
 func Rollback(ctx context.Context, journalPath string, opts ...RolloutOption) (*RolloutReport, error) {
 	opt, err := applyRolloutOptions(opts)
 	if err != nil {
@@ -436,11 +442,8 @@ func Rollback(ctx context.Context, journalPath string, opts ...RolloutOption) (*
 	opt.journal = j
 	defer j.Close()
 
-	type candidate struct {
-		tgt Target
-		pre *snmp.Config
-	}
-	var cands []candidate
+	var targets []Target
+	var pres []*snmp.Config
 	for _, pt := range st.Plan {
 		ts := st.ByKey[targetKey(pt.Instance, pt.Addr)]
 		if ts == nil || ts.PreImage == nil {
@@ -449,35 +452,23 @@ func Rollback(ctx context.Context, journalPath string, opts ...RolloutOption) (*
 		if ts.HasResult && ts.Status != StatusInstalled {
 			continue // never landed, or already rolled back
 		}
-		cands = append(cands, candidate{tgt: Target{InstanceID: pt.Instance, Addr: pt.Addr, AdminCommunity: pt.Admin}, pre: ts.PreImage})
+		targets = append(targets, Target{InstanceID: pt.Instance, Addr: pt.Addr, AdminCommunity: pt.Admin})
+		pres = append(pres, ts.PreImage)
 	}
 
 	start := time.Now()
-	report := &RolloutReport{Results: make([]TargetResult, len(cands))}
-	var mu sync.Mutex
-	var journalErr error
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.workers)
-	for i, c := range cands {
-		wg.Add(1)
-		go func(i int, c candidate) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res := rollbackTarget(ctx, c.tgt, c.pre, opt)
-			mu.Lock()
-			defer mu.Unlock()
-			report.Results[i] = res
-			if err := j.recordResult(res); err != nil && journalErr == nil {
-				journalErr = err
-			}
-			if opt.onResult != nil {
-				opt.onResult(res)
-			}
-		}(i, c)
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	reg := opt.metrics
+	if reg == nil {
+		reg = obs.Default
 	}
-	wg.Wait()
+	f := newFanout(targets, opt, cancel, reg)
+	f.pool(waveSpan{0, len(targets)}, func(i int) {
+		f.record(i, rollbackTarget(rctx, targets[i], pres[i], opt))
+	})
 
+	report := f.report
 	for _, r := range report.Results {
 		report.Attempts += r.Attempts
 		switch r.Status {
@@ -490,8 +481,11 @@ func Rollback(ctx context.Context, journalPath string, opts ...RolloutOption) (*
 		}
 	}
 	report.Duration = time.Since(start)
-	if journalErr != nil {
-		return report, fmt.Errorf("configgen: journal: %w", journalErr)
+	switch {
+	case f.panicked != nil:
+		return report, f.panicked
+	case f.journalErr != nil:
+		return report, fmt.Errorf("configgen: journal: %w", f.journalErr)
 	}
 	return report, ctx.Err()
 }

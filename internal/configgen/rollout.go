@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nmsl/internal/consistency"
@@ -555,53 +554,9 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	report := &RolloutReport{Results: make([]TargetResult, len(targets))}
+	f := newFanout(targets, opt, cancel, run)
+	report := f.report
 	pre := &preStore{m: map[string]*snmp.Config{}}
-	var mu sync.Mutex // serializes onResult, failFast, journal errors and panics
-	var journalErr error
-	// panicked is the first panic a pool worker raised (set under mu).
-	// It halts the rollout, and onResult is not called after it.
-	var panicked error
-	recorded := make([]bool, len(targets))
-	record := func(i int, res TargetResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		report.Results[i] = res
-		recorded[i] = true
-		if err := opt.journal.recordResult(res); err != nil && journalErr == nil {
-			journalErr = err
-			cancel() // a journal that stopped persisting voids the crash-safety contract
-		}
-		if opt.onResult != nil && panicked == nil {
-			opt.onResult(res)
-		}
-		if opt.failFast && (res.Status == StatusFailed || res.Status == StatusSkipped) {
-			cancel()
-		}
-	}
-	// pool runs fn over the wave on the worker pool. A worker's panic
-	// halts the pool and the rollout: the wave's targets left without a
-	// result are recorded canceled with the panic as their error.
-	pool := func(w waveSpan, fn func(i int)) {
-		err := runPool(w, opt.workers, fn)
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if panicked == nil {
-			panicked = err
-			if mon {
-				run.Counter(obs.L(snmp.MetricPanics, "site", "rollout")).Inc()
-			}
-		}
-		mu.Unlock()
-		cancel()
-		for i := w.start; i < w.end; i++ {
-			if !recorded[i] {
-				record(i, TargetResult{Target: targets[i], Status: StatusCanceled, Err: panicked})
-			}
-		}
-	}
 
 	waves := splitWaves(len(targets), opt.stages)
 	var gateErr *GateError
@@ -611,47 +566,47 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 			// Aborted before this wave: mark its targets canceled without
 			// touching the network.
 			for i := w.start; i < w.end; i++ {
-				err := panicked
+				err := f.panicked
 				if err == nil {
 					err = rctx.Err()
 				}
 				if err == nil {
 					err = gateErr
 				}
-				record(i, TargetResult{Target: targets[i], Status: StatusCanceled, Err: err})
+				f.record(i, TargetResult{Target: targets[i], Status: StatusCanceled, Err: err})
 			}
-			finishWave(report, wi, w, waveStart, nil, opt, &mu)
+			finishWave(report, wi, w, waveStart, nil, opt, &f.mu)
 			continue
 		}
 
 		// Fixed worker pool pulling target indices: a 10k-target wave must
 		// not spawn 10k goroutines just to have a semaphore park most of
 		// them.
-		pool(w, func(i int) {
-			record(i, installTarget(rctx, desired[i], targets[i], opt, pre))
+		f.pool(w, func(i int) {
+			f.record(i, installTarget(rctx, desired[i], targets[i], opt, pre))
 		})
 
 		if rctx.Err() != nil || !opt.gated() {
-			finishWave(report, wi, w, waveStart, nil, opt, &mu)
+			finishWave(report, wi, w, waveStart, nil, opt, &f.mu)
 			continue
 		}
 		wave := append([]TargetResult(nil), report.Results[w.start:w.end]...)
 		gerr := evalGate(rctx, wave, opt)
 		if gerr == nil {
-			finishWave(report, wi, w, waveStart, nil, opt, &mu)
+			finishWave(report, wi, w, waveStart, nil, opt, &f.mu)
 			continue
 		}
 		gateErr = &GateError{Wave: wi, Err: gerr}
 		if mon {
 			run.Counter(MetricRolloutGateFails).Inc()
 		}
-		mu.Lock()
-		if err := opt.journal.recordGate(wi, gerr); err != nil && journalErr == nil {
-			journalErr = err
+		f.mu.Lock()
+		if err := opt.journal.recordGate(wi, gerr); err != nil && f.journalErr == nil {
+			f.journalErr = err
 		}
-		mu.Unlock()
-		rollbackWave(rctx, w, targets, report, pre, opt, pool, record)
-		finishWave(report, wi, w, waveStart, gerr, opt, &mu)
+		f.mu.Unlock()
+		rollbackWave(rctx, w, f, pre, opt)
+		finishWave(report, wi, w, waveStart, gerr, opt, &f.mu)
 	}
 
 	sort.Slice(report.Results, func(i, j int) bool {
@@ -711,10 +666,10 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 	}
 	sp.End()
 	switch {
-	case panicked != nil:
-		return report, panicked
-	case journalErr != nil:
-		return report, fmt.Errorf("configgen: journal: %w", journalErr)
+	case f.panicked != nil:
+		return report, f.panicked
+	case f.journalErr != nil:
+		return report, fmt.Errorf("configgen: journal: %w", f.journalErr)
 	case gateErr != nil:
 		return report, gateErr
 	default:
@@ -722,47 +677,79 @@ func rolloutRun(ctx context.Context, desired []Desired, targets []Target, opt *r
 	}
 }
 
-// runPool runs fn(i) for every index in the wave span over a fixed pool
-// of at most workers goroutines. A panic in fn halts the pool: no index
-// is handed out after it, and the first panic returns as an
-// *obs.PanicError once every worker has stopped.
-func runPool(w waveSpan, workers int, fn func(i int)) error {
-	n := w.end - w.start
-	if n <= 0 {
-		return nil
+// fanout is where a run's per-target results land: record stores,
+// journals and streams one result, and pool runs a span of targets over
+// obs.Pool. A rollout's waves and gate rollbacks, and Rollback, each go
+// through one.
+type fanout struct {
+	report  *RolloutReport
+	targets []Target
+	opt     *rolloutOptions
+	// cancel stops the run: on a journal error, on fail-fast and on a
+	// worker's panic.
+	cancel context.CancelFunc
+	// panics is where a worker's panic is counted; nil or obs.Disabled
+	// when metrics are off.
+	panics *obs.Registry
+
+	mu         sync.Mutex // serializes onResult, failFast, journal errors and panics
+	recorded   []bool
+	journalErr error
+	// panicked is the first panic a pool worker raised (set under mu).
+	// It halts the run, and onResult is not called after it.
+	panicked error
+}
+
+func newFanout(targets []Target, opt *rolloutOptions, cancel context.CancelFunc, panics *obs.Registry) *fanout {
+	return &fanout{
+		report:   &RolloutReport{Results: make([]TargetResult, len(targets))},
+		targets:  targets,
+		opt:      opt,
+		cancel:   cancel,
+		panics:   panics,
+		recorded: make([]bool, len(targets)),
 	}
-	if workers > n {
-		workers = n
+}
+
+// record stores, journals and streams targets[i]'s result.
+func (f *fanout) record(i int, res TargetResult) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.report.Results[i] = res
+	f.recorded[i] = true
+	if err := f.opt.journal.recordResult(res); err != nil && f.journalErr == nil {
+		f.journalErr = err
+		f.cancel() // a journal that stopped persisting voids the crash-safety contract
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var halt atomic.Bool
-	var panicOnce sync.Once
-	var panicked error
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := obs.Guard("rollout", func() {
-				for i := range idx {
-					fn(i)
-				}
-			})
-			if err != nil {
-				halt.Store(true)
-				panicOnce.Do(func() { panicked = err })
-				for range idx {
-					// Drain, so the feeder never blocks on a dead worker.
-				}
-			}
-		}()
+	if f.opt.onResult != nil && f.panicked == nil {
+		f.opt.onResult(res)
 	}
-	for i := w.start; i < w.end && !halt.Load(); i++ {
-		idx <- i
+	if f.opt.failFast && (res.Status == StatusFailed || res.Status == StatusSkipped) {
+		f.cancel()
 	}
-	close(idx)
-	wg.Wait()
-	return panicked
+}
+
+// pool runs fn(i) for every target index in the span over obs.Pool. A
+// worker's panic halts the pool and the run: the span's targets left
+// without a result are recorded canceled with the panic as their error,
+// and the panic is counted in nmsl_panics_total{site="rollout"}.
+func (f *fanout) pool(w waveSpan, fn func(i int)) {
+	err := obs.Pool("rollout", w.end-w.start, f.opt.workers, func(_, k int) { fn(w.start + k) })
+	if err == nil {
+		return
+	}
+	f.mu.Lock()
+	if f.panicked == nil {
+		f.panicked = err
+		f.panics.Counter(obs.L(snmp.MetricPanics, "site", "rollout")).Inc()
+	}
+	f.mu.Unlock()
+	f.cancel()
+	for i := w.start; i < w.end; i++ {
+		if !f.recorded[i] {
+			f.record(i, TargetResult{Target: f.targets[i], Status: StatusCanceled, Err: f.panicked})
+		}
+	}
 }
 
 // finishWave summarizes a completed (or cancel-skipped) wave from its
@@ -818,12 +805,12 @@ func evalGate(ctx context.Context, wave []TargetResult, opt *rolloutOptions) err
 
 // rollbackWave restores every installed target of the wave to its
 // captured pre-image, rewriting the wave's results in place.
-func rollbackWave(rctx context.Context, w waveSpan, targets []Target, report *RolloutReport, pre *preStore, opt *rolloutOptions, pool func(waveSpan, func(int)), record func(int, TargetResult)) {
-	pool(w, func(i int) {
-		if report.Results[i].Status != StatusInstalled {
+func rollbackWave(rctx context.Context, w waveSpan, f *fanout, pre *preStore, opt *rolloutOptions) {
+	f.pool(w, func(i int) {
+		if f.report.Results[i].Status != StatusInstalled {
 			return
 		}
-		tgt := targets[i]
-		record(i, restoreTarget(rctx, tgt, pre.get(targetKey(tgt.InstanceID, tgt.Addr)), opt, false))
+		tgt := f.targets[i]
+		f.record(i, restoreTarget(rctx, tgt, pre.get(targetKey(tgt.InstanceID, tgt.Addr)), opt, false))
 	})
 }

@@ -288,3 +288,66 @@ func TestRolloutPanicContained(t *testing.T) {
 		t.Errorf("nmsl_panics_total{site=rollout} = %d, want 1", got)
 	}
 }
+
+// TestRollbackPanicContained: a panic in the WithOnResult callback
+// during Rollback comes back as an *obs.PanicError with the report
+// instead of killing the process. The candidates the pool never reached
+// are recorded canceled, and the journal still replays.
+func TestRollbackPanicContained(t *testing.T) {
+	m, err := netsim.Model(netsim.Params{Domains: 10, SystemsPerDomain: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, _, _ := startMemFleet(t, m, "adm", "rollback-panics")
+	path := filepath.Join(t.TempDir(), "rollout.journal")
+	report, err := DistributeContext(context.Background(), m, targets, chaosOpts(WithJournal(path))...)
+	if err != nil || !report.OK() {
+		t.Fatalf("rollout: err=%v %s", err, report.Summary())
+	}
+
+	reg := obs.NewRegistry()
+	calls := 0 // onResult calls are serialized
+	rb, err := Rollback(context.Background(), path, chaosOpts(
+		WithWorkers(2),
+		WithMetrics(reg),
+		WithOnResult(func(TargetResult) {
+			if calls++; calls == 2 {
+				panic("boom")
+			}
+		}),
+	)...)
+	var pe *obs.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "TestRollbackPanicContained") {
+		t.Fatalf("Rollback = %v, want the recovered panic with its stack", err)
+	}
+	if rb == nil || len(rb.Results) != len(targets) {
+		t.Fatalf("rollback report covers %v of %d candidates", rb, len(targets))
+	}
+	for _, r := range rb.Results {
+		switch {
+		case r.Target.InstanceID == "":
+			t.Fatal("a candidate has no result")
+		case r.Status == StatusCanceled && !errors.Is(r.Err, err):
+			t.Errorf("%s: canceled with %v, want the panic", r.Target.InstanceID, r.Err)
+		case r.Status != StatusCanceled && r.Status != StatusRolledBack:
+			t.Errorf("%s: status %s, want rolled-back or canceled", r.Target.InstanceID, r.Status)
+		}
+	}
+	if rb.RolledBack < 2 || rb.Canceled == 0 || rb.RolledBack+rb.Canceled != len(targets) {
+		t.Errorf("want the reached candidates rolled back and the rest canceled: %s", rb.Summary())
+	}
+	if got := reg.Snapshot().Value(obs.L(snmp.MetricPanics, "site", "rollout")); got != 1 {
+		t.Errorf("nmsl_panics_total{site=rollout} = %d, want 1", got)
+	}
+
+	st, err := LoadJournal(path)
+	if err != nil {
+		t.Fatalf("the journal no longer loads: %v", err)
+	}
+	for _, r := range rb.Results {
+		ts := st.ByKey[targetKey(r.Target.InstanceID, r.Target.Addr)]
+		if ts == nil || !ts.HasResult || ts.Status != r.Status {
+			t.Errorf("%s: journal holds %+v, want the %s result", r.Target.InstanceID, ts, r.Status)
+		}
+	}
+}

@@ -353,15 +353,24 @@ func (c *Checker) Check() *Report {
 	return rep
 }
 
-// serial runs step through the one check loop as a pool of one with
-// metrics off. Its callers return no error, so a panic in step is raised
-// again here rather than returned as a partial Report.
+// serial runs step through the one shard loop in order on the caller's
+// goroutine, with metrics off. It does not go through obs.Pool: a
+// closure a pool worker may call escapes to the heap, and with it the
+// run, the step and the step's state, which would cost every warm delta
+// six allocations (BenchmarkCheckWarmCache). Its callers return no
+// error, so a panic in step is raised again here rather than returned
+// as a partial Report.
 func (c *Checker) serial(step refChecker) *Report {
 	var buf [shardsPerWorker][2]int // the shards stay on the stack
 	r := run{m: c.m, chk: c}
 	rep := &Report{Model: c.m}
 	ctx := context.Background()
-	err := r.inline(ctx, rep, step, shardRefs(buf[:0], c.m.Refs, shardsPerWorker))
+	err := obs.Guard("consistency check", func() {
+		var w worker
+		for _, sh := range shardRefs(buf[:0], c.m.Refs, shardsPerWorker) {
+			rep.RefsChecked += r.shard(ctx, step, sh[0], sh[1], &rep.Violations, &w)
+		}
+	})
 	if err == nil {
 		err = r.tail(ctx, rep)
 	}

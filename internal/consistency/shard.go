@@ -19,12 +19,12 @@ import (
 // the check reads the model but never writes it — so the reference
 // relation partitions cleanly: the refs are split into contiguous
 // shards whose boundaries are aligned to target-instance runs (the
-// references against one target share permission-index lookups), and a
-// bounded worker pool checks shards concurrently. Shard results are
-// merged in shard order, which by construction reproduces the serial
-// scan's violation order byte for byte. A pool of one runs inline on
-// the caller's goroutine, which is how Checker.Check and CheckDelta use
-// the same loop without paying for a pool.
+// references against one target share permission-index lookups), and
+// CheckContext checks the shards over obs.Pool. Shard results are merged
+// in shard order, which by construction reproduces the serial scan's
+// violation order byte for byte. Checker.Check and CheckDelta run the
+// same shard loop in order on the caller's goroutine (Checker.serial),
+// without the heap-allocated closure a pool needs.
 
 // Engine selects which evaluator CheckContext runs.
 type Engine int
@@ -150,9 +150,9 @@ type refChecker func(ref *Ref, out *[]Violation)
 // run is one check's shared state. Its shard loop (shard) and tail
 // (tail) are the only code that walks Model.Refs for a verdict; the
 // entry points differ only in options and in the per-reference step
-// they hand it. The context, the Report and the OnViolation lock are
-// arguments, not fields, so that the serial paths' run and Checker stay
-// on the stack (escape analysis is field-insensitive).
+// they hand it. The context, the Report and the step are arguments, not
+// fields, so that the serial path's run and Checker stay on the stack
+// (escape analysis is field-insensitive).
 type run struct {
 	m *Model
 	// opts supplies OnViolation and FailFast; the engine, cache and
@@ -160,7 +160,7 @@ type run struct {
 	opts Options
 	// chk appends the proxy tail; nil under the logic engines.
 	chk *Checker
-	// halt stops scheduling: set by FailFast and by a worker's panic.
+	// halt stops scheduling: set by FailFast.
 	halt atomic.Bool
 	// mon gates every clock read; the instruments are nil without it.
 	mon                  bool
@@ -168,27 +168,30 @@ type run struct {
 	shardsDone           *obs.Counter
 }
 
-// worker is one worker's own state. Its shard-level observations merge
-// into the run's instruments once, when the worker exits, so the shard
-// loop shares no counter line with the other workers.
+// worker is one pool slot's own state: its step, its staging buffer and
+// its shard-level observations. The observations merge into the run's
+// instruments once the pool has returned, so the shard loop shares no
+// counter line with the other workers.
 type worker struct {
+	step refChecker
+	// done flushes what step accumulated; nil if nothing does.
+	done func()
+	// stage is the worker's violation staging buffer, reused across its
+	// shards: a clean shard retains nothing, and a violating shard pays
+	// one exact-size copy.
+	stage []Violation
 	// emitMu serializes OnViolation across a parallel pool's workers;
-	// nil inline, where nothing can overlap.
+	// nil at a pool of one, where nothing can overlap.
 	emitMu *sync.Mutex
 	dur    *obs.Histogram
 	busy   time.Duration
 	shards int64
 }
 
-func (r *run) startWorker(emitMu *sync.Mutex) worker {
-	w := worker{emitMu: emitMu}
-	if r.mon {
-		w.dur = obs.NewHistogram()
-	}
-	return w
-}
-
 func (r *run) merge(w *worker) {
+	if w.done != nil {
+		w.done()
+	}
 	if r.mon {
 		r.shardDur.Merge(w.dur)
 		r.shardsDone.Add(w.shards)
@@ -212,7 +215,9 @@ func (r *run) emit(mu *sync.Mutex, vs []Violation) {
 
 // shard checks the references [lo, hi) with step, appending violations
 // to out, and returns how many it checked. It polls for a halt or a
-// cancelled ctx every cancelStride references.
+// cancelled ctx every cancelStride references. The step is an argument
+// rather than read from w because escape analysis is field-insensitive:
+// w's lock escapes, and a step inside w would escape with it.
 func (r *run) shard(ctx context.Context, step refChecker, lo, hi int, out *[]Violation, w *worker) int {
 	var t0 time.Time
 	if r.mon {
@@ -248,72 +253,56 @@ func (r *run) shard(ctx context.Context, step refChecker, lo, hi int, out *[]Vio
 	return n
 }
 
-// inline is the pool of one: step checks the shards in order on the
-// caller's goroutine, appending straight into rep. A panic returns as an
-// *obs.PanicError.
-func (r *run) inline(ctx context.Context, rep *Report, step refChecker, shards [][2]int) error {
-	return guard(func() {
-		w := r.startWorker(nil)
-		for _, sh := range shards {
-			rep.RefsChecked += r.shard(ctx, step, sh[0], sh[1], &rep.Violations, &w)
+// check runs the shards over obs.Pool with pool workers, each with its
+// own step from newStep. A pool of one checks the shards in order on
+// the caller's goroutine, appending straight into rep. A larger pool
+// stages each shard's violations and merges them in shard order once
+// the pool has drained: contiguous shards concatenated in order are
+// exactly the serial scan order. A worker's panic halts the run and
+// returns as an *obs.PanicError.
+func (r *run) check(ctx context.Context, rep *Report, pool int, shards [][2]int, newStep func() (refChecker, func())) error {
+	ws := make([]worker, max(pool, 1))
+	var emitMu *sync.Mutex
+	var results [][]Violation
+	var checked []int
+	if pool > 1 {
+		emitMu = new(sync.Mutex)
+		results = make([][]Violation, len(shards))
+		checked = make([]int, len(shards))
+	}
+	for i := range ws {
+		ws[i].emitMu = emitMu
+		if r.mon {
+			ws[i].dur = obs.NewHistogram()
 		}
-		r.merge(&w)
+	}
+	err := obs.Pool("consistency check", len(shards), pool, func(wi, si int) {
+		w, sh := &ws[wi], shards[si]
+		if w.step == nil {
+			// Built on the worker's own goroutine, so that the step's
+			// scratch, written on every reference, comes from that
+			// goroutine's allocation cache and shares no cache line with
+			// another worker's.
+			w.step, w.done = newStep()
+		}
+		if results == nil {
+			rep.RefsChecked += r.shard(ctx, w.step, sh[0], sh[1], &rep.Violations, w)
+			return
+		}
+		w.stage = w.stage[:0]
+		checked[si] = r.shard(ctx, w.step, sh[0], sh[1], &w.stage, w)
+		if len(w.stage) > 0 {
+			results[si] = slices.Clone(w.stage)
+		}
 	})
-}
-
-// parallel checks the shards over pool workers, each with its own step
-// from newStep, and merges their results in shard order: contiguous
-// shards concatenated in order are exactly the serial scan order. A
-// worker's panic halts the run, and the first one is returned once the
-// pool has drained.
-func (r *run) parallel(ctx context.Context, rep *Report, pool int, shards [][2]int, newStep func() (refChecker, func())) error {
-	results := make([][]Violation, len(shards))
-	checked := make([]int, len(shards))
-	emitMu := new(sync.Mutex)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked error
-	for range pool {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := r.startWorker(emitMu)
-			// stage is the worker's violation staging buffer, reused
-			// across its shards: a clean shard retains nothing, and a
-			// violating shard pays one exact-size copy.
-			var stage []Violation
-			err := guard(func() {
-				step, done := newStep()
-				defer done()
-				for si := range work {
-					stage = stage[:0]
-					checked[si] = r.shard(ctx, step, shards[si][0], shards[si][1], &stage, &w)
-					if len(stage) > 0 {
-						results[si] = slices.Clone(stage)
-					}
-				}
-			})
-			if err != nil {
-				r.halt.Store(true)
-				panicOnce.Do(func() { panicked = err })
-				for range work {
-					// Drain, so the feeder never blocks on a dead worker.
-				}
-			}
-			r.merge(&w)
-		}()
+	for i := range ws {
+		r.merge(&ws[i])
 	}
-	for si := range shards {
-		work <- si
-	}
-	close(work)
-	wg.Wait()
 	for si, vs := range results {
 		rep.Violations = append(rep.Violations, vs...)
 		rep.RefsChecked += checked[si]
 	}
-	return panicked
+	return err
 }
 
 // tail appends the serial, cheap end of every check — proxy
@@ -333,12 +322,8 @@ func (r *run) tail(ctx context.Context, rep *Report) error {
 	for i := range r.m.Unresolved {
 		rep.Violations = append(rep.Violations, unresolvedViolation(&r.m.Unresolved[i]))
 	}
-	return guard(func() { r.emit(nil, rep.Violations[before:]) })
+	return obs.Guard("consistency check", func() { r.emit(nil, rep.Violations[before:]) })
 }
-
-// guard runs a check worker under obs.Guard: a panic inside fn returns
-// as an *obs.PanicError.
-func guard(fn func()) error { return obs.Guard("consistency check", fn) }
 
 // CheckContext runs the consistency check over a bounded worker pool,
 // honoring ctx for cancellation and deadline. A completed run returns a
@@ -447,15 +432,7 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 	// bound, and goroutines beyond the core count only add scheduler
 	// churn and cross-worker cache traffic.
 	shards := shardRefs(nil, m.Refs, workers*shardsPerWorker)
-	pool := min(workers, runtime.GOMAXPROCS(0), len(shards))
-	var err error
-	if pool <= 1 {
-		step, done := newStep()
-		err = r.inline(ctx, rep, step, shards)
-		done()
-	} else {
-		err = r.parallel(ctx, rep, pool, shards, newStep)
-	}
+	err := r.check(ctx, rep, min(workers, runtime.GOMAXPROCS(0), len(shards)), shards, newStep)
 	if err == nil {
 		err = r.tail(ctx, rep)
 	}

@@ -414,12 +414,13 @@ func (r *Reconciler) dial(t target) (*snmp.Client, error) {
 
 // RunOnce performs a single reconciliation sweep over the fleet and
 // returns its summary. With WithSweepWorkers(n>1) the shards sweep
-// concurrently and their summaries merge. The context cancels the sweep
-// mid-fleet; the partial summary is returned with the context's error. A
-// panic in a shard — including one raised by the WithOnEvent callback —
-// ends that shard's sweep; once the other shards finish, RunOnce returns
-// the first panic as an *obs.PanicError carrying the panic value and
-// stack, counted in nmsl_panics_total{site="reconcile"}.
+// concurrently over obs.Pool and their summaries merge. The context
+// cancels the sweep mid-fleet; the partial summary is returned with the
+// context's error. A panic in a shard — including one raised by the
+// WithOnEvent callback — ends that shard's sweep, and shards that have
+// not started yet do not start; once the running shards finish, RunOnce
+// returns the first panic as an *obs.PanicError carrying the panic value
+// and stack, counted in nmsl_panics_total{site="reconcile"}.
 func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 	reg := r.opt.metrics
 	if reg == nil {
@@ -431,53 +432,26 @@ func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 	sp := obs.StartSpan("reconcile.sweep")
 	defer sp.End()
 
-	// sweep runs one shard under obs.Guard: a panic (in the sweep or an
-	// OnEvent callback) ends that shard and becomes the sweep's error.
-	var panicOnce sync.Once
-	var panicked error
-	sweep := func(sd *shard, sw *Sweep) (err error) {
-		if perr := obs.Guard("reconcile sweep", func() { err = r.sweepShard(ctx, sd, sw, reg, mon) }); perr != nil {
-			panicOnce.Do(func() {
-				panicked = perr
-				if mon {
-					reg.Counter(obs.L(snmp.MetricPanics, "site", "reconcile")).Inc()
-				}
-			})
-			return perr
-		}
-		return err
+	sws := make([]Sweep, len(r.shards))
+	errs := make([]error, len(r.shards))
+	err := obs.Pool("reconcile sweep", len(r.shards), len(r.shards), func(_, si int) {
+		errs[si] = r.sweepShard(ctx, r.shards[si], &sws[si], reg, mon)
+	})
+	if err != nil && mon {
+		reg.Counter(obs.L(snmp.MetricPanics, "site", "reconcile")).Inc()
 	}
-	var err error
-	if len(r.shards) == 1 {
-		err = sweep(r.shards[0], sw)
-	} else {
-		sws := make([]*Sweep, len(r.shards))
-		errs := make([]error, len(r.shards))
-		var wg sync.WaitGroup
-		for si, sd := range r.shards {
-			wg.Add(1)
-			go func(si int, sd *shard) {
-				defer wg.Done()
-				sws[si] = &Sweep{}
-				errs[si] = sweep(sd, sws[si])
-			}(si, sd)
+	for si := range sws {
+		s := &sws[si]
+		sw.Checked += s.Checked
+		sw.InSync += s.InSync
+		sw.Drifted += s.Drifted
+		sw.Healed += s.Healed
+		sw.HealFailures += s.HealFailures
+		sw.CheckFailures += s.CheckFailures
+		sw.Skipped += s.Skipped
+		if errs[si] != nil && err == nil {
+			err = errs[si]
 		}
-		wg.Wait()
-		for si, s := range sws {
-			sw.Checked += s.Checked
-			sw.InSync += s.InSync
-			sw.Drifted += s.Drifted
-			sw.Healed += s.Healed
-			sw.HealFailures += s.HealFailures
-			sw.CheckFailures += s.CheckFailures
-			sw.Skipped += s.Skipped
-			if errs[si] != nil && err == nil {
-				err = errs[si]
-			}
-		}
-	}
-	if panicked != nil {
-		err = panicked
 	}
 	if err != nil {
 		return sw, err
