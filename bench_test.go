@@ -356,26 +356,6 @@ func BenchmarkCompilePaperSpec(b *testing.B) {
 	}
 }
 
-// ---- Ablation: permission indexing vs full scans (DESIGN.md) ----
-
-func benchIndexAblation(b *testing.B, disable bool) {
-	m, err := netsim.Model(netsim.Params{Domains: 500, SystemsPerDomain: 2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := consistency.NewChecker(m)
-		c.DisableIndex = disable
-		if rep := c.Check(); !rep.Consistent() {
-			b.Fatal("unexpected inconsistency")
-		}
-	}
-}
-
-func BenchmarkCheckIndexed(b *testing.B) { benchIndexAblation(b, false) }
-func BenchmarkCheckScan(b *testing.B)    { benchIndexAblation(b, true) }
-
 // ---- Ablation: logic-engine checker vs indexed Go checker ----
 
 func benchCheckerKind(b *testing.B, useLogic bool) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +149,32 @@ func TestProgramFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "inconsistent(") {
 		t.Fatalf("output: %q", out.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden program file")
+
+// TestProgramGolden pins the whole -program output on the corpus's
+// every-violation-kind specification: the report, then the logic
+// program the checker solves, whose facts and rules a CLP(R) system can
+// run as printed.
+func TestProgramGolden(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-program", "../../testdata/campus-broken.nmsl"}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	golden := filepath.Join("testdata", "campus-broken.program.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if out.String() != string(want) {
+		t.Fatalf("-program output differs from %s:\n%s", golden, out.String())
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"nmsl/internal/netsim"
 )
 
-// Engine parity for the materialized-closure tentpole: the logic engine
-// over materialized fact tables (EngineLogic), the recursive-rule oracle
-// (EngineLogicRecursive) and the indexed checker must all render
-// byte-identical reports.
+// Engine parity at the facade: WithEngine(EngineLogic) renders the same
+// report at one and at four workers, and reaches the indexed checker's
+// verdict. The logic engine is held to the printed program itself in
+// internal/consistency (TestEngineLogicMatchesProgram).
 
-// TestEngineParityCorpus triangulates the three engines across the
-// testdata corpus, consistent and inconsistent specifications alike.
+// TestEngineParityCorpus compares the engines across the testdata
+// corpus, consistent and inconsistent specifications alike.
 func TestEngineParityCorpus(t *testing.T) {
 	for _, tc := range corpus {
 		t.Run(tc.file, func(t *testing.T) {
@@ -22,10 +22,6 @@ func TestEngineParityCorpus(t *testing.T) {
 			m := spec.Model()
 			indexed := consistency.Check(m)
 			logic := checkEngine(t, m, consistency.EngineLogic)
-			recursive := checkEngine(t, m, consistency.EngineLogicRecursive).String()
-			if logic.String() != recursive {
-				t.Errorf("materialized and recursive logic engines diverge:\n%s\nvs\n%s", logic, recursive)
-			}
 			// Messages differ across engine families (the logic engine
 			// renders generic causes), so cross-family parity is on the
 			// kind summary; the logic path also omits the proxy tail.
@@ -33,20 +29,20 @@ func TestEngineParityCorpus(t *testing.T) {
 				t.Errorf("logic and indexed verdicts diverge:\n%s\nvs\n%s", logic.Summary(), indexed.Summary())
 			}
 			rep, err := spec.CheckContext(context.Background(),
-				WithWorkers(4), WithEngine(EngineLogicRecursive))
+				WithWorkers(4), WithEngine(EngineLogic))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := rep.String(); got != recursive {
-				t.Errorf("sharded recursive engine diverges:\n%s\nvs\n%s", got, recursive)
+			if rep.String() != logic.String() {
+				t.Errorf("sharded logic engine diverges:\n%s\nvs\n%s", rep, logic)
 			}
 		})
 	}
 }
 
-// TestEngineParityNetsim triangulates the engines on generated
-// internets: nested domains, injected frequency violations, and
-// late-bound star targets.
+// TestEngineParityNetsim compares the engines on generated internets:
+// nested domains, injected frequency violations, late-bound star
+// targets and recursive chains.
 func TestEngineParityNetsim(t *testing.T) {
 	cases := []netsim.Params{
 		{Domains: 12, SystemsPerDomain: 2, NestingDepth: 0, Seed: 1},
@@ -62,10 +58,6 @@ func TestEngineParityNetsim(t *testing.T) {
 		}
 		indexed := consistency.Check(m)
 		logic := checkEngine(t, m, consistency.EngineLogic)
-		recursive := checkEngine(t, m, consistency.EngineLogicRecursive).String()
-		if logic.String() != recursive {
-			t.Errorf("case %d: materialized vs recursive logic diverge:\n%s\nvs\n%s", i, logic, recursive)
-		}
 		if logic.Summary() != indexed.Summary() {
 			t.Errorf("case %d: logic vs indexed verdicts diverge:\n%s\nvs\n%s", i, logic.Summary(), indexed.Summary())
 		}

@@ -741,7 +741,7 @@ func (f *fanout) pool(w waveSpan, fn func(i int)) {
 	f.mu.Lock()
 	if f.panicked == nil {
 		f.panicked = err
-		f.panics.Counter(obs.L(snmp.MetricPanics, "site", "rollout")).Inc()
+		f.panics.Counter(obs.L(obs.MetricPanics, "site", "rollout")).Inc()
 	}
 	f.mu.Unlock()
 	f.cancel()

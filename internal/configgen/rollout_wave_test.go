@@ -284,7 +284,7 @@ func TestRolloutPanicContained(t *testing.T) {
 	if report.Canceled < len(targets)/2 || report.Installed+report.Canceled+report.Failed+report.Skipped != len(targets) {
 		t.Errorf("want the later wave canceled and every target counted: %s", report.Summary())
 	}
-	if got := report.Metrics.Value(obs.L(snmp.MetricPanics, "site", "rollout")); got != 1 {
+	if got := report.Metrics.Value(obs.L(obs.MetricPanics, "site", "rollout")); got != 1 {
 		t.Errorf("nmsl_panics_total{site=rollout} = %d, want 1", got)
 	}
 }
@@ -336,7 +336,7 @@ func TestRollbackPanicContained(t *testing.T) {
 	if rb.RolledBack < 2 || rb.Canceled == 0 || rb.RolledBack+rb.Canceled != len(targets) {
 		t.Errorf("want the reached candidates rolled back and the rest canceled: %s", rb.Summary())
 	}
-	if got := reg.Snapshot().Value(obs.L(snmp.MetricPanics, "site", "rollout")); got != 1 {
+	if got := reg.Snapshot().Value(obs.L(obs.MetricPanics, "site", "rollout")); got != 1 {
 		t.Errorf("nmsl_panics_total{site=rollout} = %d, want 1", got)
 	}
 

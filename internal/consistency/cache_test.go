@@ -275,23 +275,6 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexHitCounter: every reference answered through the grantor
-// indexes is counted; the DisableIndex ablation counts nothing.
-func TestIndexHitCounter(t *testing.T) {
-	m := buildModel(t, twoClusterSpec)
-	c := NewChecker(m)
-	c.Check()
-	if got := c.IndexHits(); got != int64(len(m.Refs)) {
-		t.Errorf("IndexHits = %d, want %d", got, len(m.Refs))
-	}
-	d := NewChecker(m)
-	d.DisableIndex = true
-	d.Check()
-	if got := d.IndexHits(); got != 0 {
-		t.Errorf("IndexHits under DisableIndex = %d, want 0", got)
-	}
-}
-
 // TestCheckRefScratchNoAllocs: steady-state candidate lookups reuse the
 // scratch buffer — zero allocations per reference on a consistent model.
 func TestCheckRefScratchNoAllocs(t *testing.T) {

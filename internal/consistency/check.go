@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"nmsl/internal/obs"
 )
@@ -147,15 +146,9 @@ func (r *Report) ByKind(k Kind) []Violation {
 type Checker struct {
 	m  *Model
 	co *columns
-	// DisableIndex forces full permission scans (the DESIGN.md ablation).
-	DisableIndex bool
 	// Cache, when non-nil, memoizes per-reference verdicts keyed by a
 	// dependency fingerprint (cache.go). Concurrent-safe.
 	Cache *ResultCache
-	// indexHits counts candidate lookups answered through the grantor
-	// indexes. Workers batch into per-scratch counters and flush once, so
-	// the hot loop stays atomic-free.
-	indexHits atomic.Int64
 	// deltaBits is CheckDelta's reusable dirty-instance bitset, sized to
 	// the model on first use. Only the serial CheckDelta entry point
 	// touches it — concurrent CheckDelta calls on one Checker were never
@@ -163,15 +156,11 @@ type Checker struct {
 	deltaBits []uint64
 }
 
-// IndexHits reports how many candidate-permission lookups were served by
-// the grantor indexes (0 under DisableIndex).
-func (c *Checker) IndexHits() int64 { return c.indexHits.Load() }
-
 // scratch is the per-worker arena: the candidate-permission buffer, the
 // fingerprint encoding buffer, the cache-key buffer, and the batched
-// index-hit and cache counters. Every buffer is bump-reused across the
-// worker's references — after the first few references size the slabs,
-// the steady-state per-reference path allocates nothing at any worker
+// cache counters. Every buffer is bump-reused across the worker's
+// references — after the first few references size the slabs, the
+// steady-state per-reference path allocates nothing at any worker
 // count (pinned by TestCheckSteadyStateZeroAlloc). It carries no
 // pointers into the model, and one scratch is owned by exactly one
 // worker (or the serial loop) at a time.
@@ -179,18 +168,13 @@ type scratch struct {
 	perms []int32
 	enc   []byte
 	key   []byte
-	hits  int
 	cache cacheBatch
 }
 
-// flush folds the scratch's batched counters into the checker (and the
-// attached result cache). Called once per worker, not per reference, so
-// workers never contend on the shared counters mid-check.
+// flush folds the scratch's batched counters into the attached result
+// cache. Called once per worker, not per reference, so workers never
+// contend on the shared counters mid-check.
 func (c *Checker) flush(sc *scratch) {
-	if sc.hits != 0 {
-		c.indexHits.Add(int64(sc.hits))
-		sc.hits = 0
-	}
 	if c.Cache != nil {
 		c.Cache.merge(&sc.cache)
 	}
@@ -235,16 +219,6 @@ func (c *Checker) candidatePerms(ref *Ref, sc *scratch) []int32 {
 	out := sc.perms[:0]
 	co := c.co
 	ti := ref.Target.idx
-	if c.DisableIndex {
-		for pi := range c.m.Perms {
-			if co.permGrantorInst[pi] == ti || co.instHasDom(ti, co.permGrantorDom[pi]) {
-				out = append(out, int32(pi))
-			}
-		}
-		sc.perms = out
-		return out
-	}
-	sc.hits++
 	out = append(out, co.permsByInst[ti]...)
 	for _, d := range co.instDoms(ti) {
 		out = append(out, co.permsByDom[d]...)
@@ -345,7 +319,7 @@ func unresolvedViolation(u *UnresolvedTarget) Violation {
 }
 
 // Check runs the full consistency check: the one check loop as a pool
-// of one, metrics off, over this checker's Cache and DisableIndex.
+// of one, metrics off, over this checker's Cache.
 func (c *Checker) Check() *Report {
 	var sc scratch
 	rep := c.serial(func(ref *Ref, out *[]Violation) { c.checkRefWith(ref, out, &sc) })

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -399,14 +400,26 @@ func TestCrossValidation(t *testing.T) {
 	}
 }
 
+// TestIndexedMatchesScan holds the grantor indexes to a brute-force
+// scan: on every parity model, candidatePerms returns, for every
+// reference, exactly the permissions (ascending) granted by the target
+// instance or by a domain containing it.
 func TestIndexedMatchesScan(t *testing.T) {
-	m := buildModel(t, freqSpec)
-	idx := NewChecker(m).Check()
-	sc := NewChecker(m)
-	sc.DisableIndex = true
-	scan := sc.Check()
-	if idx.String() != scan.String() {
-		t.Fatalf("index ablation changed the result:\n%s\nvs\n%s", idx, scan)
+	for name, m := range parityModels(t) {
+		chk := NewChecker(m)
+		var sc scratch
+		for i := range m.Refs {
+			ref := &m.Refs[i]
+			var want []int32
+			for pi, p := range m.Perms {
+				if p.GrantorInst == ref.Target.ID || p.GrantorDomain != "" && m.PartyInDomain(ref.Target.ID, p.GrantorDomain) {
+					want = append(want, int32(pi))
+				}
+			}
+			if got := chk.candidatePerms(ref, &sc); !slices.Equal(got, want) {
+				t.Fatalf("%s: candidatePerms(%s) = %v, scan finds %v", name, ref, got, want)
+			}
+		}
 	}
 }
 

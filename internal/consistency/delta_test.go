@@ -126,30 +126,6 @@ func TestCheckDeltaReplaysViolations(t *testing.T) {
 	}
 }
 
-// TestCheckDeltaLeavesClosuresUnbuilt: fingerprinting a reference reads
-// the parties' containment runs and nothing else of the logic
-// engine's closures, so an indexed delta check with a cache — which
-// fingerprints every reference it re-proves — never builds them.
-func TestCheckDeltaLeavesClosuresUnbuilt(t *testing.T) {
-	edited := strings.Replace(twoClusterSpec, "exports mgmt.mib to \"east\"\n        access ReadOnly",
-		"exports mgmt.mib to \"east\"\n        access Any", 1)
-	oldSpec, newSpec := buildSpec(t, twoClusterSpec), buildSpec(t, edited)
-	m1, m2 := BuildModel(oldSpec), BuildModel(newSpec)
-	cache := NewResultCache()
-	chk := NewChecker(m2)
-	chk.Cache = cache
-	chk.CheckDelta(Check(m1), DeltaFromSpecs(oldSpec, newSpec))
-	if cache.Stats().Misses == 0 {
-		t.Fatal("the edit re-proved nothing, so nothing was fingerprinted")
-	}
-	if m2.clos != nil {
-		t.Error("an indexed delta check built the logic engine's closures")
-	}
-	if BuildDB(m2); m2.clos == nil {
-		t.Error("BuildDB no longer builds the closures")
-	}
-}
-
 // TestCheckDeltaSameModel: a delta against the same model replays clean
 // references directly by pointer.
 func TestCheckDeltaSameModel(t *testing.T) {

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"fmt"
+	"slices"
 
 	"nmsl/internal/logic"
 	"nmsl/internal/mib"
@@ -34,22 +35,20 @@ func freqTerms(minPeriod float64, strict, infrequent bool) (logic.Term, logic.Te
 	return logic.Float(minPeriod), op
 }
 
-// BuildDB compiles the model into the logic fact/rule base the paper's
-// Consistency Checker hands to CLP(R): the Figure 4.9 relations as facts,
-// plus the distribution and reduction rules of section 4.2. The recursive
-// transitivity rules are pre-evaluated: the containment and MIB-covering
-// closures are materialized bottom-up (closures.go) and asserted as
-// indexed fact tables, so covers/contains_tr/data_covers goals resolve by
-// hash lookup instead of recursive search. BuildDBRecursive keeps the
-// original recursive rule base as the parity oracle.
-func BuildDB(m *Model) *logic.DB { return buildDB(m, true) }
-
-// BuildDBRecursive compiles the model with the paper's recursive
-// transitivity rules instead of materialized closure tables. It proves
-// exactly the same relations as BuildDB (property-tested on random
-// graphs) and exists as the independent oracle behind
-// EngineLogicRecursive.
+// BuildDBRecursive compiles the model into the one logic program the
+// paper's Consistency Checker hands to CLP(R): the Figure 4.9 relations
+// as facts, the transitivity, distribution and reduction rules of
+// section 4.2, and inconsistent/6, the proof of inconsistency the
+// checker runs. nmslcheck -program prints it (logic.DB.Write).
 func BuildDBRecursive(m *Model) *logic.DB { return buildDB(m, false) }
+
+// BuildDB is BuildDBRecursive with the recursive transitivity rules
+// pre-evaluated: contains_tr and covers are ground fact tables read
+// from the model's containment columns, and data_covers one read from
+// the MIB tree, so those goals resolve by hash lookup instead of
+// recursive search. EngineLogic and AdmissiblePeriods solve it; it
+// proves exactly what the program proves.
+func BuildDB(m *Model) *logic.DB { return buildDB(m, true) }
 
 func buildDB(m *Model, materialize bool) *logic.DB {
 	db := logic.NewDB()
@@ -75,23 +74,9 @@ func buildDB(m *Model, materialize bool) *logic.DB {
 	}
 
 	// contains_tr and covers: the transitive (and, for covers, reflexive)
-	// containment closure. Materialized: asserted as ground fact tables
-	// from the semi-naive closure; recursive: the paper's transitivity
-	// rules, evaluated top-down per query.
+	// containment closure.
 	if materialize {
-		cl := m.closures()
-		// covers is reflexive over every party a permission or containment
-		// edge can name — the recursive covers(A, A) clause restricted to
-		// the constants that can actually reach it.
-		for _, x := range cl.universe {
-			db.Assert(logic.Comp("covers", logic.Atom(x), logic.Atom(x)))
-		}
-		for _, x := range cl.order {
-			for _, y := range cl.downSorted[x] {
-				db.Assert(logic.Comp("contains_tr", logic.Atom(x), logic.Atom(y)))
-				db.Assert(logic.Comp("covers", logic.Atom(x), logic.Atom(y)))
-			}
-		}
+		m.assertContainment(db)
 	} else {
 		X, Y := logic.NewVar("X"), logic.NewVar("Y")
 		db.Assert(logic.Comp("contains_tr", X, Y), logic.Call(logic.Comp("contains", X, Y)))
@@ -194,8 +179,8 @@ func buildDB(m *Model, materialize bool) *logic.DB {
 		}
 	}
 
-	// ref/6 facts (for completeness of the emitted base; the Go driver
-	// also iterates them directly).
+	// ref/6 facts: the references inconsistent/6 ranges over (the Go
+	// driver proves m.Refs one at a time instead).
 	for i := range m.Refs {
 		r := &m.Refs[i]
 		t, rop := freqTerms(r.guarantee())
@@ -284,10 +269,72 @@ func buildDB(m *Model, materialize bool) *logic.DB {
 			))
 	}
 
+	// The proof performed is a proof of inconsistency (closed world): a
+	// reference no permission covers, or one a restricting domain does
+	// not export to.
+	{
+		Src, Tgt, Var, Acc, T, ROp := logic.NewVar("Src"), logic.NewVar("Tgt"), logic.NewVar("Var"), logic.NewVar("Acc"), logic.NewVar("T"), logic.NewVar("ROp")
+		args := []logic.Term{Src, Tgt, Var, Acc, T, ROp}
+		db.Assert(logic.Comp("inconsistent", args...),
+			logic.Call(logic.Comp("ref", args...)),
+			logic.Not(logic.Call(logic.Comp("permitted", args...))))
+		db.Assert(logic.Comp("inconsistent", args...),
+			logic.Call(logic.Comp("ref", args...)),
+			logic.Call(logic.Comp("violates_restriction", args...)))
+	}
+
 	// Everything the solvers will intern is now in the table; publish
 	// the read-only snapshot so checking never touches the alloc mutex.
 	logic.FreezeAtoms()
 	return db
+}
+
+// assertContainment asserts contains_tr and covers as ground fact
+// tables read from the containment columns: each domain's ancestor run,
+// each system's domains, and each instance's run and host. covers is
+// also reflexive over every party a contains fact or a permission can
+// name: the recursive covers(A, A) clause restricted to the constants
+// that can reach it.
+func (m *Model) assertContainment(db *logic.DB) {
+	co := &m.co
+	seen := map[string]bool{}
+	self := func(x logic.Term) {
+		if !seen[x.Str] {
+			seen[x.Str] = true
+			db.Assert(logic.Comp("covers", x, x))
+		}
+	}
+	below := func(x logic.Term, up []int32) {
+		self(x)
+		for _, d := range up {
+			a := logic.Atom(co.domName[d])
+			db.Assert(logic.Comp("contains_tr", a, x))
+			db.Assert(logic.Comp("covers", a, x))
+		}
+	}
+	sysDoms := map[string][]int32{}
+	for d, name := range co.domName {
+		below(logic.Atom(name), co.domUp(int32(d)))
+		for _, sys := range m.Spec.Domains[name].Systems {
+			sysDoms[sys] = append(append(sysDoms[sys], int32(d)), co.domUp(int32(d))...)
+		}
+	}
+	for _, sys := range m.Spec.SystemNames() {
+		run := sysDoms[sys]
+		slices.Sort(run)
+		below(logic.Atom(sys), slices.Compact(run))
+	}
+	for i, in := range m.Instances {
+		x := logic.Atom(in.ID)
+		below(x, co.instDoms(int32(i)))
+		if in.System != "" {
+			db.Assert(logic.Comp("contains_tr", logic.Atom(in.System), x))
+			db.Assert(logic.Comp("covers", logic.Atom(in.System), x))
+		}
+	}
+	for i := range m.Perms {
+		self(logic.Atom(m.Perms[i].Grantee))
+	}
 }
 
 // logicCheckRef proves one reference against the compiled rule base

@@ -173,7 +173,7 @@ func freqImplies(t float64, strict bool, infrequent bool, pt float64, pstrict bo
 }
 
 // Model is the checkable view of a specification: every instance,
-// reference and permission, plus containment closures.
+// reference and permission, plus the containment columns.
 type Model struct {
 	Spec      *ast.Spec
 	Instances []*Instance
@@ -194,11 +194,6 @@ type Model struct {
 	// support views (columns.go) — written once by BuildModel.
 	co columns
 
-	// closOnce/clos lazily materialize the containment closures the
-	// logic DB compiler asserts (closures.go); the model itself is
-	// read-only after BuildModel.
-	closOnce sync.Once
-	clos     *closures
 	// fleetOnce/fleet hold configgen's desired fleet state, derived once
 	// per model (FleetState); the checker never reads it.
 	fleetOnce sync.Once

@@ -1,10 +1,6 @@
 package consistency
 
 import (
-	"fmt"
-	"io"
-	"strconv"
-
 	"nmsl/internal/ast"
 	"nmsl/internal/logic"
 	"nmsl/internal/sema"
@@ -15,21 +11,14 @@ import (
 // "requesting consistency output causes the actions tagged consistency to
 // be executed, and Prolog rules to be generated"). The emitted statements
 // are the per-declaration base facts; the Consistency Checker "adds some
-// overall consistency requirements" — the rules WriteRules produces —
+// overall consistency requirements" — the rules of BuildDBRecursive —
 // before handing everything to the logic interpreter.
 
 // OutputTag is the compiler output tag for consistency facts.
 const OutputTag = "consistency"
 
 func freqFact(f ast.Freq) (logic.Term, logic.Term) {
-	if f.Infrequent {
-		return logic.Atom("infrequent"), logic.Atom("ge")
-	}
-	op := logic.Atom("ge")
-	if f.Op == ">" {
-		op = logic.Atom("gt")
-	}
-	return logic.Float(f.MinPeriodSeconds()), op
+	return freqTerms(f.MinPeriodSeconds(), f.Op == ">", f.Infrequent)
 }
 
 func emitFact(e *sema.Emitter, functor string, args ...logic.Term) {
@@ -138,128 +127,4 @@ func RegisterOutput(t *sema.Tables) {
 			},
 		},
 	})
-}
-
-// WriteRules writes the "overall consistency requirements" the checker
-// adds to the compiler's fact output: the derived relations of Figure 4.9
-// and the transitivity/distribution/reduction rules, in executable
-// Prolog/CLP(R) notation. Together with the compiler's consistency output
-// this is a complete, human-readable rendering of what the checker
-// evaluates.
-func WriteRules(w io.Writer) error {
-	_, err := io.WriteString(w, consistencyRules)
-	return err
-}
-
-// consistencyRules is the rule text. The in-process checker evaluates the
-// same relations through internal/logic (see BuildDB); this rendering
-// exists so the compiler's output is complete and auditable, as in the
-// paper's CLP(R) workflow.
-const consistencyRules = `% --- NMSL consistency requirements (paper section 4.2, Figure 4.9) ---
-% containment closure (transitivity rule)
-contains_tr(X, Y) :- contains(X, Y).
-contains_tr(X, Z) :- contains(X, Y), contains_tr(Y, Z).
-covers(X, X).
-covers(X, Y) :- contains_tr(X, Y).
-
-% data containment over the MIB tree
-data_covers(V, V).
-data_covers(X, Y) :- mib_contains(X, Z), data_covers(Z, Y).
-
-% access lattice
-allows(any, _).
-allows(readonly, readonly).  allows(readonly, none).
-allows(writeonly, writeonly). allows(writeonly, none).
-allows(none, none).
-
-% frequency implication: a reference guaranteeing period >=(>) T
-% satisfies a permission requiring period >=(>) PT
-freq_ok(infrequent, _, _, _).
-freq_ok(T, gt, PT, _)  :- T >= PT.
-freq_ok(T, ge, PT, ge) :- T >= PT.
-freq_ok(T, ge, PT, gt) :- T > PT.
-
-% reduction rule: every reference must have a corresponding permission
-permitted(Src, Tgt, Var, Acc, T, ROp) :-
-    perm(G, Gr, PVar, PAcc, PT, POp),
-    covers(Gr, Tgt), covers(G, Src),
-    data_covers(PVar, Var), allows(PAcc, Acc),
-    freq_ok(T, ROp, PT, POp).
-
-% domain restriction: a domain containing the target but not the source
-% that declares exports must itself grant a covering export
-violates_restriction(Src, Tgt, Var, Acc, T, ROp) :-
-    restricts(D), contains_tr(D, Tgt), \+ covers(D, Src),
-    \+ ( dom_perm(D, G, PVar, PAcc, PT, POp),
-         covers(G, Src), data_covers(PVar, Var),
-         allows(PAcc, Acc), freq_ok(T, ROp, PT, POp) ).
-
-% the proof performed is a proof of inconsistency (closed world)
-inconsistent(Src, Tgt, Var, Acc, T, ROp) :-
-    ref(Src, Tgt, Var, Acc, T, ROp),
-    \+ permitted(Src, Tgt, Var, Acc, T, ROp).
-inconsistent(Src, Tgt, Var, Acc, T, ROp) :-
-    ref(Src, Tgt, Var, Acc, T, ROp),
-    violates_restriction(Src, Tgt, Var, Acc, T, ROp).
-`
-
-// WriteFacts dumps the checker's derived fact base (the reduction of the
-// specification to Figure 4.9 relations) as Prolog text. Unlike the
-// compiler's per-declaration output this includes instance expansion.
-func WriteFacts(w io.Writer, m *Model) error {
-	write := func(functor string, args ...logic.Term) error {
-		_, err := fmt.Fprintln(w, logic.Comp(functor, args...).String()+".")
-		return err
-	}
-	for _, in := range m.Instances {
-		host := in.System
-		if host == "" {
-			host = in.Domain
-		}
-		if err := write("instan", logic.Atom(host), logic.Atom(in.Proc.Name), logic.Atom(in.ID)); err != nil {
-			return err
-		}
-		if err := write("contains", logic.Atom(host), logic.Atom(in.ID)); err != nil {
-			return err
-		}
-	}
-	for _, name := range m.co.domName {
-		d := m.Spec.Domains[name]
-		for _, sub := range d.Subdomains {
-			if err := write("contains", logic.Atom(name), logic.Atom(sub)); err != nil {
-				return err
-			}
-		}
-		for _, sys := range d.Systems {
-			if err := write("contains", logic.Atom(name), logic.Atom(sys)); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range m.Perms {
-		p := &m.Perms[i]
-		grantor := p.GrantorInst
-		if grantor == "" {
-			grantor = p.GrantorDomain
-		}
-		op := logic.Atom("ge")
-		if p.Strict {
-			op = logic.Atom("gt")
-		}
-		if err := write("perm", logic.Atom(p.Grantee), logic.Atom(grantor),
-			logic.Atom(p.Var.Path()), accessAtom(p.Access),
-			logic.Float(p.MinPeriod), op); err != nil {
-			return err
-		}
-	}
-	for i := range m.Refs {
-		r := &m.Refs[i]
-		tfr, op := freqTerms(r.guarantee())
-		if err := write("ref", logic.Atom(r.Source.ID), logic.Atom(r.Target.ID),
-			logic.Atom(r.Var.Path()), accessAtom(r.Access), tfr, op); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%% %s derived facts\n", strconv.Itoa(len(m.Refs)+len(m.Perms)))
-	return err
 }

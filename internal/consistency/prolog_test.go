@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,31 +49,231 @@ func TestConsistencyOutput(t *testing.T) {
 	}
 }
 
-func TestWriteRulesAndFacts(t *testing.T) {
-	var rules strings.Builder
-	if err := WriteRules(&rules); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{"contains_tr", "data_covers", "freq_ok", "permitted", "inconsistent", "violates_restriction"} {
-		if !strings.Contains(rules.String(), w) {
-			t.Errorf("rules missing %q", w)
+// programScanner reads the subset of Prolog a printed program uses:
+// clauses over several lines, % comments, plain and quoted atoms,
+// variables, numbers and rationals, compound terms, \+ over a goal or a
+// parenthesized conjunction, arithmetic comparisons, and dynamic
+// declarations.
+type programScanner struct {
+	toks []string
+	pos  int
+	// defined and called collect predicate indicators (name/arity).
+	defined, called map[string]bool
+}
+
+func scanProgram(text string) (*programScanner, error) {
+	p := &programScanner{defined: map[string]bool{}, called: map[string]bool{}}
+	for i := 0; i < len(text); {
+		c := text[i]
+		switch {
+		case c == '%':
+			for i < len(text) && text[i] != '\n' {
+				i++
+			}
+		case c == ' ' || c == '\t' || c == '\n':
+			i++
+		case c == '\'':
+			j := i + 1
+			for ; j < len(text) && text[j] != '\''; j++ {
+				if text[j] == '\\' {
+					j++
+				}
+			}
+			if j >= len(text) {
+				return nil, fmt.Errorf("unterminated quoted atom at %d", i)
+			}
+			p.toks = append(p.toks, text[i:j+1])
+			i = j + 1
+		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9':
+			j := i
+			for j < len(text) && (text[j] == '_' || text[j] >= 'a' && text[j] <= 'z' || text[j] >= 'A' && text[j] <= 'Z' || text[j] >= '0' && text[j] <= '9') {
+				j++
+			}
+			p.toks = append(p.toks, text[i:j])
+			i = j
+		default:
+			n := 1
+			for _, op := range []string{":-", "\\+", ">=", "=<"} {
+				if strings.HasPrefix(text[i:], op) {
+					n = len(op)
+				}
+			}
+			p.toks = append(p.toks, text[i:i+n])
+			i += n
 		}
 	}
+	for p.pos < len(p.toks) {
+		if err := p.clause(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
 
-	m := buildModel(t, paperspec.Combined)
-	var facts strings.Builder
-	if err := WriteFacts(&facts, m); err != nil {
+func (p *programScanner) peek() string {
+	if p.pos < len(p.toks) {
+		return p.toks[p.pos]
+	}
+	return ""
+}
+
+func (p *programScanner) expect(tok string) error {
+	if got := p.peek(); got != tok {
+		return fmt.Errorf("token %d: got %q, want %q (near %q)", p.pos, got, tok, p.toks[max(0, p.pos-8):p.pos])
+	}
+	p.pos++
+	return nil
+}
+
+// clause reads one clause or directive through its closing period.
+func (p *programScanner) clause() error {
+	if p.peek() == ":-" {
+		p.pos++
+		if err := p.expect("dynamic"); err != nil {
+			return err
+		}
+		name := p.peek()
+		p.pos++
+		if err := p.expect("/"); err != nil {
+			return err
+		}
+		p.defined[name+"/"+p.peek()] = true
+		p.pos++
+		return p.expect(".")
+	}
+	ind, err := p.term()
+	if err != nil {
+		return err
+	}
+	p.defined[ind] = true
+	if p.peek() == ":-" {
+		p.pos++
+		if err := p.conj(); err != nil {
+			return err
+		}
+	}
+	return p.expect(".")
+}
+
+func (p *programScanner) conj() error {
+	for {
+		if err := p.goal(); err != nil {
+			return err
+		}
+		if p.peek() != "," {
+			return nil
+		}
+		p.pos++
+	}
+}
+
+func (p *programScanner) goal() error {
+	switch p.peek() {
+	case "\\+":
+		p.pos++
+		return p.goal()
+	case "(":
+		p.pos++
+		if err := p.conj(); err != nil {
+			return err
+		}
+		return p.expect(")")
+	}
+	ind, err := p.term()
+	if err != nil {
+		return err
+	}
+	switch p.peek() {
+	case ">=", ">", "<", "=<", "=":
+		p.pos++
+		_, err := p.term()
+		return err
+	}
+	if ind == "" {
+		return fmt.Errorf("token %d: a variable or number called as a goal", p.pos)
+	}
+	p.called[ind] = true
+	return nil
+}
+
+// term reads a term and returns its indicator ("" for a variable or a
+// number).
+func (p *programScanner) term() (string, error) {
+	tok := p.peek()
+	p.pos++
+	if tok == "" || tok[0] == '_' || tok[0] >= 'A' && tok[0] <= 'Z' {
+		return "", nil
+	}
+	if tok[0] >= '0' && tok[0] <= '9' {
+		if p.peek() == "/" {
+			p.pos += 2
+		}
+		return "", nil
+	}
+	name := strings.Trim(tok, "'")
+	if p.peek() != "(" {
+		return name + "/0", nil
+	}
+	p.pos++
+	arity := 0
+	for {
+		if _, err := p.term(); err != nil {
+			return "", err
+		}
+		arity++
+		if p.peek() != "," {
+			break
+		}
+		p.pos++
+	}
+	if err := p.expect(")"); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s/%d", name, arity), nil
+}
+
+// TestProgramClosed holds the program -program prints to what a CLP(R)
+// system needs to run it: on every testdata specification and the
+// paper's, each predicate a clause body calls is defined by a printed
+// clause or declared dynamic, and the program defines the check's
+// entry points and derives the Figure 4.9 facts.
+func TestProgramClosed(t *testing.T) {
+	for name, m := range parityModels(t) {
+		t.Run(name, func(t *testing.T) {
+			var b strings.Builder
+			if err := BuildDBRecursive(m).Write(&b); err != nil {
+				t.Fatal(err)
+			}
+			p, err := scanProgram(b.String())
+			if err != nil {
+				t.Fatalf("unreadable program: %v\n%s", err, b.String())
+			}
+			for ind := range p.called {
+				if !p.defined[ind] {
+					t.Errorf("%s is called but never defined", ind)
+				}
+			}
+			for _, ind := range []string{"inconsistent/6", "permitted/6", "violates_restriction/6", "support_ok/2"} {
+				if !p.defined[ind] {
+					t.Errorf("the program does not define %s", ind)
+				}
+			}
+		})
+	}
+	var b strings.Builder
+	if err := BuildDBRecursive(buildModel(t, paperspec.Combined)).Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := facts.String()
 	for _, w := range []string{
 		"instan('romano.cs.wisc.edu',snmpdReadOnly,'snmpdReadOnly@romano.cs.wisc.edu#0').",
 		"contains('wisc-cs','romano.cs.wisc.edu').",
 		"perm(public,'snmpdReadOnly@romano.cs.wisc.edu#0','mgmt.mib',readonly,300,ge).",
+		"dom_perm('wisc-cs',public,'mgmt.mib',readonly,300,ge).",
+		"restricts('wisc-cs').",
 		"ref('snmpaddr@wisc-cs#0','snmpdReadOnly@romano.cs.wisc.edu#0','mgmt.mib.ip.ipAddrTable.IpAddrEntry',readonly,infrequent,ge).",
 	} {
-		if !strings.Contains(out, w) {
-			t.Errorf("missing derived fact %q in:\n%s", w, out)
+		if !strings.Contains(b.String(), "\n"+w+"\n") {
+			t.Errorf("missing derived fact %q in:\n%s", w, b.String())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"slices"
 	"strconv"
@@ -35,15 +36,9 @@ const (
 	EngineIndexed Engine = iota
 	// EngineLogic proves each reference through the CLP(R)-style logic
 	// engine (the paper's reference semantics; slower but independent).
-	// Workers share the compiled fact/rule base — with the containment
-	// and MIB closures materialized as fact tables — each with its own
-	// solver.
+	// Workers share BuildDB's program — its containment and MIB
+	// closures materialized as fact tables — each with its own solver.
 	EngineLogic
-	// EngineLogicRecursive is EngineLogic over the original recursive
-	// transitivity rules (no materialized closures). It exists as the
-	// parity oracle for the materialization; expect it to be much slower
-	// on deep containment hierarchies.
-	EngineLogicRecursive
 )
 
 // Options configure CheckContext. The zero value runs the indexed
@@ -62,12 +57,9 @@ type Options struct {
 	// been recorded. The Report then holds at least one violation but
 	// is partial, and RefsChecked reflects the truncated scan.
 	FailFast bool
-	// DisableIndex forces full permission scans in the indexed engine
-	// (the DESIGN.md ablation).
-	DisableIndex bool
 	// Cache, when non-nil, memoizes per-reference verdicts across runs
 	// keyed by dependency fingerprints (indexed engine only; the logic
-	// engines ignore it). Safe to share across concurrent checks.
+	// engine ignores it). Safe to share across concurrent checks.
 	Cache *ResultCache
 	// Metrics selects where the run's observability counters land: nil
 	// records into obs.Default, obs.Disabled turns instrumentation off
@@ -78,11 +70,8 @@ type Options struct {
 
 // engineName names the engine for span labels.
 func engineName(e Engine) string {
-	switch e {
-	case EngineLogic:
+	if e == EngineLogic {
 		return "logic"
-	case EngineLogicRecursive:
-		return "logic-recursive"
 	}
 	return "indexed"
 }
@@ -155,10 +144,10 @@ type refChecker func(ref *Ref, out *[]Violation)
 // (escape analysis is field-insensitive).
 type run struct {
 	m *Model
-	// opts supplies OnViolation and FailFast; the engine, cache and
-	// index options are already bound into the step.
+	// opts supplies OnViolation and FailFast; the engine and cache are
+	// already bound into the step.
 	opts Options
-	// chk appends the proxy tail; nil under the logic engines.
+	// chk appends the proxy tail; nil under the logic engine.
 	chk *Checker
 	// halt stops scheduling: set by FailFast.
 	halt atomic.Bool
@@ -327,12 +316,13 @@ func (r *run) tail(ctx context.Context, rep *Report) error {
 
 // CheckContext runs the consistency check over a bounded worker pool,
 // honoring ctx for cancellation and deadline. A completed run returns a
-// Report byte-identical to Check (or, under a logic engine, to the same
+// Report byte-identical to Check (or, under the logic engine, to the same
 // engine at one worker) regardless of worker count. When ctx is
 // cancelled mid-check the partial Report accumulated so far is returned
 // together with ctx.Err(). A panic in a worker, such as one raised by
-// OnViolation, halts the run and is returned as an error carrying the
-// panic value and the worker's stack, with the partial Report.
+// OnViolation, halts the run, is counted in
+// nmsl_panics_total{site="check"}, and is returned as an error carrying
+// the panic value and the worker's stack, with the partial Report.
 func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -403,20 +393,14 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 	// shares the fact/rule base and gives each worker a private solver.
 	var newStep func() (refChecker, func())
 	switch opts.Engine {
-	case EngineLogic, EngineLogicRecursive:
-		var db *logic.DB
-		if opts.Engine == EngineLogic {
-			db = BuildDB(m)
-		} else {
-			db = BuildDBRecursive(m)
-		}
+	case EngineLogic:
+		db := BuildDB(m)
 		newStep = func() (refChecker, func()) {
 			s := logic.NewSolver(db)
 			return func(ref *Ref, out *[]Violation) { logicCheckRef(m, s, ref, out) }, func() {}
 		}
 	default:
 		chk := NewChecker(m)
-		chk.DisableIndex = opts.DisableIndex
 		chk.Cache = opts.Cache
 		r.chk = chk
 		newStep = func() (refChecker, func()) {
@@ -435,6 +419,14 @@ func CheckContext(ctx context.Context, m *Model, opts Options) (*Report, error) 
 	err := r.check(ctx, rep, min(workers, runtime.GOMAXPROCS(0), len(shards)), shards, newStep)
 	if err == nil {
 		err = r.tail(ctx, rep)
+	}
+	if err != nil && r.mon {
+		// Declared here, where it escapes to errors.As, so that a clean
+		// run allocates nothing for it.
+		var pe *obs.PanicError
+		if errors.As(err, &pe) {
+			runReg.Counter(obs.L(obs.MetricPanics, "site", "check")).Inc()
+		}
 	}
 	return rep, err
 }

@@ -58,9 +58,8 @@ func TestShardRefsCoverAndAlign(t *testing.T) {
 // serialCheck is the reference the one check loop is held to: checkRef
 // per reference in model order, then the proxy and unresolved-target
 // tail — the serial checker the loop replaced, kept here as the oracle.
-func serialCheck(m *Model, disableIndex bool) *Report {
+func serialCheck(m *Model) *Report {
 	chk := NewChecker(m)
-	chk.DisableIndex = disableIndex
 	rep := &Report{Model: m}
 	var sc scratch
 	for i := range m.Refs {
@@ -74,9 +73,9 @@ func serialCheck(m *Model, disableIndex bool) *Report {
 	return rep
 }
 
-// serialLogicCheck is serialCheck for a logic engine: one solver over
+// serialLogicCheck is serialCheck for the logic engine: one solver over
 // db, logicCheckRef per reference, then the unresolved-target tail (the
-// logic engines never checked proxies).
+// logic engine never checked proxies).
 func serialLogicCheck(m *Model, db *logic.DB) *Report {
 	s := logic.NewSolver(db)
 	rep := &Report{Model: m}
@@ -120,23 +119,18 @@ func parityModels(t *testing.T) map[string]*Model {
 }
 
 // TestParallelParity holds the one check loop to the serial oracles: a
-// Report byte-identical to serialCheck (or serialLogicCheck) from
-// Check, Checker.Check, CheckDelta's full fallback and CheckContext at
-// every worker count, for every engine, on consistent and inconsistent
-// specifications.
+// Report byte-identical to serialCheck from Check, Checker.Check,
+// CheckDelta's full fallback and CheckContext at every worker count,
+// and under the logic engine one byte-identical to the printed program
+// solved serially, on consistent and inconsistent specifications.
 func TestParallelParity(t *testing.T) {
 	for name, m := range parityModels(t) {
 		t.Run(name, func(t *testing.T) {
-			serial := serialCheck(m, false).String()
-			for _, e := range []Engine{EngineLogic, EngineLogicRecursive} {
-				want := serialLogicCheck(m, BuildDB(m)).String()
-				if e == EngineLogicRecursive {
-					want = serialLogicCheck(m, BuildDBRecursive(m)).String()
-				}
-				for _, w := range []int{1, 2, 4, 8} {
-					if got := checkParallel(t, m, Options{Workers: w, Engine: e}).String(); got != want {
-						t.Errorf("workers=%d %s engine diverges:\n%s\nvs\n%s", w, engineName(e), got, want)
-					}
+			serial := serialCheck(m).String()
+			want := serialLogicCheck(m, BuildDBRecursive(m)).String()
+			for _, w := range []int{1, 2, 4, 8} {
+				if got := checkParallel(t, m, Options{Workers: w, Engine: EngineLogic}).String(); got != want {
+					t.Errorf("workers=%d logic engine diverges from the program:\n%s\nvs\n%s", w, got, want)
 				}
 			}
 			cached := NewChecker(m)
@@ -157,20 +151,6 @@ func TestParallelParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestParallelParityDisableIndex(t *testing.T) {
-	m := buildModel(t, freqSpec)
-	serial := serialCheck(m, true).String()
-	got := checkParallel(t, m, Options{Workers: 4, DisableIndex: true}).String()
-	if got != serial {
-		t.Fatalf("index ablation under parallelism diverges:\n%s\nvs\n%s", got, serial)
-	}
-	chk := NewChecker(m)
-	chk.DisableIndex = true
-	if got := chk.Check().String(); got != serial {
-		t.Fatalf("index ablation in Checker.Check diverges:\n%s\nvs\n%s", got, serial)
 	}
 }
 
@@ -210,20 +190,33 @@ func TestOnViolationStreams(t *testing.T) {
 // TestCheckPanicContained: a panic in a check worker — here raised by
 // OnViolation — halts the check and returns to the caller as an error
 // carrying the panic value and the worker's stack, inline at one worker
-// and from the pool at four. The entry points with no error result raise
-// it again on the caller's goroutine instead of returning a partial
-// Report.
+// and from the pool at four, and is counted once in
+// nmsl_panics_total{site="check"}. The entry points with no error result
+// raise it again on the caller's goroutine instead of returning a
+// partial Report.
 func TestCheckPanicContained(t *testing.T) {
 	m := buildModel(t, freqSpec)
+	panics := obs.L(obs.MetricPanics, "site", "check")
 	for _, w := range []int{1, 4} {
-		_, err := CheckContext(context.Background(), m, Options{
+		reg := obs.NewRegistry()
+		rep, err := CheckContext(context.Background(), m, Options{
 			Workers:     w,
 			OnViolation: func(Violation) { panic("boom") },
+			Metrics:     reg,
 		})
 		var wp *obs.PanicError
 		if !errors.As(err, &wp) || wp.Value != "boom" || !strings.Contains(err.Error(), "TestCheckPanicContained") {
 			t.Errorf("workers=%d: err = %v, want the recovered panic with the worker's stack", w, err)
 		}
+		if got := reg.Snapshot().Value(panics); got != 1 {
+			t.Errorf("workers=%d: %s = %d, want 1", w, panics, got)
+		}
+		if got := rep.Metrics.Value(panics); got != 1 {
+			t.Errorf("workers=%d: the report's %s = %d, want 1", w, panics, got)
+		}
+	}
+	if rep, err := CheckContext(context.Background(), m, Options{Workers: 4}); err != nil || rep.Metrics.Value(panics) != 0 {
+		t.Errorf("a clean check counted a panic (err %v)", err)
 	}
 
 	prev := Check(m)

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"io"
 	"math/big"
 )
 
@@ -101,7 +102,7 @@ func (c *Clause) String() string {
 // facts and rules whose head's first argument is a ground atom are also
 // reachable through byAtom, so calls with a known first argument skip the
 // rest of the database. This is what keeps consistency checking of large
-// specifications near-linear (DESIGN.md ablation: BenchmarkCheckIndexedVsScan).
+// specifications near-linear.
 type bucket struct {
 	all []*Clause
 	// byAtom is keyed by the intern id of the head's first argument, so
@@ -122,16 +123,82 @@ type bucket struct {
 // DB is a clause database.
 type DB struct {
 	preds map[string]*bucket
-	size  int
-	// Indexing can be disabled to measure its effect.
-	DisableIndex bool
+	// order holds every clause in assertion order, for Write.
+	order []*Clause
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{preds: map[string]*bucket{}} }
 
 // Len returns the number of asserted clauses.
-func (db *DB) Len() int { return db.size }
+func (db *DB) Len() int { return len(db.order) }
+
+// Write renders the database as a Prolog program: one clause per line
+// in assertion order, each variable numbered by its first appearance
+// in its clause, so the text does not depend on what else the process
+// has solved. A predicate that some body calls but no clause defines is
+// declared dynamic first, so that the call fails instead of raising an
+// existence error.
+func (db *DB) Write(w io.Writer) error {
+	var undefined []string
+	seen := map[string]bool{}
+	var walk func(goals []Goal)
+	walk = func(goals []Goal) {
+		for _, g := range goals {
+			walk(g.Neg)
+			if ind := g.Term.Indicator(); g.Kind == GCall && db.preds[ind] == nil && !seen[ind] {
+				seen[ind] = true
+				undefined = append(undefined, ind)
+			}
+		}
+	}
+	for _, c := range db.order {
+		walk(c.Body)
+	}
+	for _, ind := range undefined {
+		if _, err := fmt.Fprintf(w, ":- dynamic %s.\n", ind); err != nil {
+			return err
+		}
+	}
+	for _, c := range db.order {
+		ren := map[int]Term{}
+		numberVars(c.Head, ren)
+		body := make([]Goal, len(c.Body))
+		for i, g := range c.Body {
+			numberGoalVars(g, ren)
+			body[i] = renameGoal(g, ren)
+		}
+		numbered := Clause{Head: rename(c.Head, ren), Body: body}
+		if _, err := io.WriteString(w, numbered.String()+"\n"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// numberVars maps every variable of t not yet in ren to the next
+// number, keeping its display name.
+func numberVars(t Term, ren map[int]Term) {
+	switch t.Kind {
+	case KVar:
+		if _, ok := ren[t.Ref]; !ok {
+			ren[t.Ref] = Term{Kind: KVar, Str: t.Str, Ref: len(ren) + 1}
+		}
+	case KComp:
+		for _, a := range t.Args {
+			numberVars(a, ren)
+		}
+	}
+}
+
+func numberGoalVars(g Goal, ren map[int]Term) {
+	numberVars(g.Term, ren)
+	numberVars(g.Lhs, ren)
+	numberVars(g.Rhs, ren)
+	for _, n := range g.Neg {
+		numberGoalVars(n, ren)
+	}
+}
 
 // Assert adds a clause Head :- Body at the end of its predicate.
 func (db *DB) Assert(head Term, body ...Goal) {
@@ -145,6 +212,7 @@ func (db *DB) Assert(head Term, body ...Goal) {
 		db.preds[ind] = bk
 	}
 	c := &Clause{Head: head, Body: body}
+	db.order = append(db.order, c)
 	bk.all = append(bk.all, c)
 	if head.Kind == KComp && len(head.Args) > 0 && head.Args[0].Kind == KAtom {
 		id := atomID(head.Args[0])
@@ -161,7 +229,6 @@ func (db *DB) Assert(head Term, body ...Goal) {
 	} else {
 		bk.factsOnly = false
 	}
-	db.size++
 }
 
 // candidates returns the clauses a call could match, using first-argument
@@ -170,9 +237,6 @@ func (db *DB) candidates(goal Term, b *Bindings) []*Clause {
 	bk, ok := db.preds[goal.Indicator()]
 	if !ok {
 		return nil
-	}
-	if db.DisableIndex {
-		return bk.all
 	}
 	if goal.Kind == KComp && len(goal.Args) > 0 {
 		first := b.Walk(goal.Args[0])
@@ -404,22 +468,20 @@ func (s *Solver) solveCall(t Term, rest []Goal, depth int, k func() bool) bool {
 	// exactly the facts equal to the call (verified by unification below,
 	// so hash collisions stay sound), in assert order — identical
 	// solutions, identical order, no scan.
-	if !s.db.DisableIndex {
-		if bk := s.db.preds[t.Indicator()]; bk != nil && bk.factsOnly {
-			if h, grnd := hashWalk(t, s.b); grnd {
-				for _, c := range bk.ground[h] {
-					mark := s.b.Mark()
-					smark := s.st.mark()
-					if s.unifyCLP(t, c.Head) {
-						if !s.solve(rest, depth+1, k) {
-							return false
-						}
+	if bk := s.db.preds[t.Indicator()]; bk != nil && bk.factsOnly {
+		if h, grnd := hashWalk(t, s.b); grnd {
+			for _, c := range bk.ground[h] {
+				mark := s.b.Mark()
+				smark := s.st.mark()
+				if s.unifyCLP(t, c.Head) {
+					if !s.solve(rest, depth+1, k) {
+						return false
 					}
-					s.b.Undo(mark)
-					s.st.undo(smark)
 				}
-				return true
+				s.b.Undo(mark)
+				s.st.undo(smark)
 			}
+			return true
 		}
 	}
 	for _, c := range s.db.candidates(t, s.b) {

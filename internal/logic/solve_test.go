@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -278,20 +279,48 @@ func TestDepthLimit(t *testing.T) {
 	}
 }
 
+// TestFirstArgIndexingEquivalence holds the first-argument index to a
+// brute-force scan: for every call, the indexed candidates are exactly
+// the clauses of the predicate whose head unifies with it, facts first.
 func TestFirstArgIndexingEquivalence(t *testing.T) {
-	// With and without indexing, the same solutions in the same order.
-	build := func(disable bool) []string {
-		db := NewDB()
-		db.DisableIndex = disable
-		for i := 0; i < 50; i++ {
-			db.Assert(Comp("edge", Atom(fmt.Sprintf("n%d", i)), Atom(fmt.Sprintf("n%d", i+1))))
-		}
-		X := NewVar("X")
-		return solutionsOf(db, Comp("edge", Atom("n25"), X), X)
+	db := NewDB()
+	for i := 0; i < 50; i++ {
+		db.Assert(Comp("edge", Atom(fmt.Sprintf("n%d", i)), Atom(fmt.Sprintf("n%d", i+1))))
 	}
-	a, b := build(false), build(true)
-	if len(a) != 1 || len(b) != 1 || a[0] != b[0] || a[0] != "n26" {
-		t.Fatalf("indexed %v, scanned %v", a, b)
+	X, Y := NewVar("X"), NewVar("Y")
+	db.Assert(Comp("edge", X, Y), Call(Comp("link", X, Y)))
+	for _, goal := range []Term{
+		Comp("edge", Atom("n25"), NewVar("Z")),
+		Comp("edge", NewVar("A"), Atom("n7")),
+		Comp("edge", Atom("nowhere"), NewVar("Z")),
+	} {
+		var want []*Clause
+		for _, c := range db.order {
+			b := NewBindings()
+			if c.Head.Indicator() == goal.Indicator() && b.Unify(goal, rename(c.Head, map[int]Term{})) {
+				want = append(want, c)
+			}
+		}
+		var got []*Clause
+		b := NewBindings()
+		for _, c := range db.candidates(goal, b) {
+			if b.Unify(goal, rename(c.Head, map[int]Term{})) {
+				got = append(got, c)
+			}
+			b.Undo(0)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d indexed matches, scan finds %d", goal, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: match %d is %s, scan has %s", goal, i, got[i], want[i])
+			}
+		}
+	}
+	got := solutionsOf(db, Comp("edge", Atom("n25"), X), X)
+	if len(got) != 1 || got[0] != "n26" {
+		t.Fatalf("edge(n25, X) = %v", got)
 	}
 }
 
@@ -334,6 +363,33 @@ func TestClauseAndGoalString(t *testing.T) {
 	n := Not(Call(Atom("a")), Call(Atom("b")))
 	if n.String() != "\\+ (a, b)" {
 		t.Errorf("neg string %q", n.String())
+	}
+}
+
+// TestDBWrite: the program text lists the clauses in assertion order,
+// numbers each clause's variables from 1 whatever the process-wide
+// counter stands at, and declares a called but undefined predicate.
+func TestDBWrite(t *testing.T) {
+	db := NewDB()
+	X, Y, Z := NewVar("X"), NewVar("Y"), NewVar("Z")
+	db.Assert(Comp("anc", X, Y), Call(Comp("parent", X, Y)))
+	db.Assert(Comp("parent", Atom("tom"), Atom("bob")))
+	db.Assert(Comp("anc", X, Z), Call(Comp("parent", X, Y)), Call(Comp("anc", Y, Z)),
+		Not(Call(Comp("adopted", Z))), Con(Z, ">", Int(0)))
+	var b strings.Builder
+	if err := db.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `:- dynamic adopted/1.
+anc(_X1,_Y2) :- parent(_X1,_Y2).
+parent(tom,bob).
+anc(_X1,_Z2) :- parent(_X1,_Y3), anc(_Y3,_Z2), \+ (adopted(_Z2)), _Z2 > 0.
+`
+	if b.String() != want {
+		t.Fatalf("program:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if db.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", db.Len())
 	}
 }
 

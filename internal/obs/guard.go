@@ -7,6 +7,11 @@ import (
 	"sync/atomic"
 )
 
+// MetricPanics counts the panics Guard and Pool contained, split by a
+// site label: agent, check, nmsld, reconcile, rollout. Each site counts
+// its own, in the registry it reports to.
+const MetricPanics = "nmsl_panics_total"
+
 // PanicError is a panic recovered by Guard: the value it was raised with
 // and the stack of the goroutine that raised it.
 type PanicError struct {

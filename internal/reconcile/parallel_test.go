@@ -9,7 +9,6 @@ import (
 
 	"nmsl/internal/netsim"
 	"nmsl/internal/obs"
-	"nmsl/internal/snmp"
 )
 
 // TestParallelSweepMatchesSerial: a sharded sweep over a drifted fleet
@@ -144,7 +143,7 @@ func TestParallelSweepPanicContained(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "TestParallelSweepPanicContained") {
 		t.Fatalf("RunOnce = %v, want the recovered panic with its stack", err)
 	}
-	if got := reg.Snapshot().Value(obs.L(snmp.MetricPanics, "site", "reconcile")); got != 1 {
+	if got := reg.Snapshot().Value(obs.L(obs.MetricPanics, "site", "reconcile")); got != 1 {
 		t.Errorf("nmsl_panics_total{site=reconcile} = %d, want 1", got)
 	}
 	armed = false

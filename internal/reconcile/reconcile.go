@@ -438,7 +438,7 @@ func (r *Reconciler) RunOnce(ctx context.Context) (*Sweep, error) {
 		errs[si] = r.sweepShard(ctx, r.shards[si], &sws[si], reg, mon)
 	})
 	if err != nil && mon {
-		reg.Counter(obs.L(snmp.MetricPanics, "site", "reconcile")).Inc()
+		reg.Counter(obs.L(obs.MetricPanics, "site", "reconcile")).Inc()
 	}
 	for si := range sws {
 		s := &sws[si]

@@ -35,74 +35,11 @@ func (d *SpecDelta) Empty() bool {
 		len(d.Systems) == 0 && len(d.Domains) == 0 && !d.ExtChanged
 }
 
-// DeclDelta splits one declaration kind's differences by direction:
-// names present only in the new spec, only in the old, or in both but
-// semantically different. Each list is sorted.
-type DeclDelta struct {
-	Added   []string
-	Removed []string
-	Changed []string
-}
-
-// All merges the three directions into one sorted name list (the
-// SpecDelta shape).
-func (d *DeclDelta) All() []string {
-	if len(d.Added)+len(d.Removed)+len(d.Changed) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(d.Added)+len(d.Removed)+len(d.Changed))
-	out = append(out, d.Added...)
-	out = append(out, d.Removed...)
-	out = append(out, d.Changed...)
-	sort.Strings(out)
-	return out
-}
-
-// Empty reports whether the kind had no differences.
-func (d *DeclDelta) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Changed) == 0
-}
-
-// DetailedDelta is SpecDelta with direction: per declaration kind,
-// which names were added, removed, or changed. Change-contract
-// reporting and the CLIs use it to describe an edit; the consistency
-// layer's ModelDelta only needs the merged lists.
-type DetailedDelta struct {
-	Types     DeclDelta
-	Processes DeclDelta
-	Systems   DeclDelta
-	Domains   DeclDelta
-	// ExtChanged reports a difference in the extension clause store.
-	ExtChanged bool
-}
-
-// Empty reports whether the two specifications were semantically
-// identical.
-func (d *DetailedDelta) Empty() bool {
-	return d.Types.Empty() && d.Processes.Empty() &&
-		d.Systems.Empty() && d.Domains.Empty() && !d.ExtChanged
-}
-
 // DiffSpecs compares two specifications and returns the changed
 // declaration names per kind. Either argument may be nil, in which case
 // every declaration of the other is reported.
 func DiffSpecs(old, new *ast.Spec) *SpecDelta {
-	dd := DiffSpecsDetailed(old, new)
-	return &SpecDelta{
-		Types:      dd.Types.All(),
-		Processes:  dd.Processes.All(),
-		Systems:    dd.Systems.All(),
-		Domains:    dd.Domains.All(),
-		ExtChanged: dd.ExtChanged,
-	}
-}
-
-// DiffSpecsDetailed compares two specifications and returns the
-// differing declaration names per kind, split by direction. Either
-// argument may be nil, in which case every declaration of the other is
-// reported (as added or removed).
-func DiffSpecsDetailed(old, new *ast.Spec) *DetailedDelta {
-	d := &DetailedDelta{}
+	d := &SpecDelta{}
 	if old == new {
 		return d // same spec object: nothing can differ
 	}
@@ -120,30 +57,25 @@ func DiffSpecsDetailed(old, new *ast.Spec) *DetailedDelta {
 	return d
 }
 
-// diffMap classifies the names present in exactly one map or bound to
-// semantically different declarations.
-func diffMap[T any](old, new map[string]*T) DeclDelta {
-	var d DeclDelta
+// diffMap returns, sorted, the names present in exactly one map or
+// bound to semantically different declarations; nil if there are none.
+func diffMap[T any](old, new map[string]*T) []string {
+	var names []string
 	for name, ov := range old {
 		nv, ok := new[name]
-		switch {
-		case !ok:
-			d.Removed = append(d.Removed, name)
 		// Shared declaration pointers (a spec diffed against an edited
 		// copy of itself) are equal without walking.
-		case ov != nv && !declEqual(reflect.ValueOf(ov), reflect.ValueOf(nv)):
-			d.Changed = append(d.Changed, name)
+		if !ok || ov != nv && !declEqual(reflect.ValueOf(ov), reflect.ValueOf(nv)) {
+			names = append(names, name)
 		}
 	}
 	for name := range new {
 		if _, ok := old[name]; !ok {
-			d.Added = append(d.Added, name)
+			names = append(names, name)
 		}
 	}
-	sort.Strings(d.Added)
-	sort.Strings(d.Removed)
-	sort.Strings(d.Changed)
-	return d
+	sort.Strings(names)
+	return names
 }
 
 var (

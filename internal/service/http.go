@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
@@ -145,10 +146,17 @@ func (s *Service) checkHandler(fn func(*Service, context.Context, string, *apiv1
 }
 
 // route wraps a handler with the per-route request counter, labeled by
-// route and response code class.
+// route and response code class. The handler runs under obs.Guard: a
+// panic in it, or one a check re-raises on its goroutine, answers 500
+// with the error envelope and is counted in
+// nmsl_panics_total{site="nmsld"}, and the daemon keeps serving.
 func (s *Service) route(name string, fn func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		code := fn(w, r)
+		var code int
+		if err := obs.Guard("nmsld "+name, func() { code = fn(w, r) }); err != nil {
+			s.reg.Counter(obs.L(obs.MetricPanics, "site", "nmsld")).Inc()
+			code = s.writeCode(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", err.(*obs.PanicError).Value))
+		}
 		if s.reg.Enabled() {
 			s.reg.Counter(obs.L(MetricRequests, "route", name, "code", codeClass(code))).Inc()
 		}

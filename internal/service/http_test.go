@@ -12,6 +12,7 @@ import (
 
 	apiv1 "nmsl/api/v1"
 	"nmsl/internal/netsim"
+	"nmsl/internal/obs"
 )
 
 func newTestServer(t *testing.T, opts ...Option) (*Service, *httptest.Server) {
@@ -272,5 +273,39 @@ func TestRunLoadSmoke(t *testing.T) {
 	}
 	if res.WarmP99NS <= 0 || res.WarmP50NS > res.WarmP99NS {
 		t.Fatalf("bad percentiles: p50=%d p99=%d", res.WarmP50NS, res.WarmP99NS)
+	}
+}
+
+// TestRoutePanicAnswers500: a panicking handler answers 500 with the
+// api/v1 error envelope and is counted in nmsl_panics_total{site=nmsld}
+// and as a 5xx request; the daemon then serves the next request.
+func TestRoutePanicAnswers500(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestService(t, WithMetrics(reg))
+	rec := httptest.NewRecorder()
+	s.route("boom", func(http.ResponseWriter, *http.Request) int { panic("boom") })(
+		rec, httptest.NewRequest(http.MethodPost, "/v1/tenants/t1/check", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var e apiv1.Error
+	if err := json.NewDecoder(rec.Body).Decode(&e); err != nil {
+		t.Fatalf("decoding the error envelope: %v", err)
+	}
+	if e.APIVersion != apiv1.Version || e.Code != http.StatusInternalServerError || !strings.Contains(e.Message, "boom") {
+		t.Errorf("envelope %+v", e)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Value(obs.L(obs.MetricPanics, "site", "nmsld")); got != 1 {
+		t.Errorf("nmsl_panics_total{site=nmsld} = %d, want 1", got)
+	}
+	if got := snap.Value(obs.L(MetricRequests, "route", "boom", "code", "5xx")); got != 1 {
+		t.Errorf("5xx requests on the panicking route = %d, want 1", got)
+	}
+
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tenants", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("the request after the panic got %d, want 200", rec.Code)
 	}
 }

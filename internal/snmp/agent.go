@@ -318,10 +318,6 @@ const (
 	MetricAgentSetsAccepted = "nmsl_snmp_agent_sets_accepted_total"
 	MetricAgentHandle       = "nmsl_snmp_agent_handle_ns"
 
-	// MetricPanics counts contained panics, split by a site label; the
-	// agent's serve step counts under site="agent".
-	MetricPanics = "nmsl_panics_total"
-
 	MetricClientRequests    = "nmsl_snmp_client_requests_total"
 	MetricClientRetransmits = "nmsl_snmp_client_retransmits_total"
 	MetricClientTimeouts    = "nmsl_snmp_client_timeouts_total"
@@ -355,7 +351,7 @@ func newAgentMetrics(reg *obs.Registry) agentMetrics {
 		configLoads:  reg.Counter(MetricAgentConfigLoads),
 		noSuchName:   reg.Counter(MetricAgentNoSuchName),
 		setsAccepted: reg.Counter(MetricAgentSetsAccepted),
-		panics:       reg.Counter(obs.L(MetricPanics, "site", "agent")),
+		panics:       reg.Counter(obs.L(obs.MetricPanics, "site", "agent")),
 		handle:       reg.Histogram(MetricAgentHandle),
 	}
 }

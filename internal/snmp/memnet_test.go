@@ -567,8 +567,8 @@ func TestAgentPanicContained(t *testing.T) {
 		if got := a.Stats().Panics; got != 1 {
 			t.Fatalf("Stats().Panics = %d, want 1", got)
 		}
-		if got := reg.Counter(obs.L(MetricPanics, "site", "agent")).Value(); got != 1 {
-			t.Fatalf("%s{site=\"agent\"} = %d, want 1", MetricPanics, got)
+		if got := reg.Counter(obs.L(obs.MetricPanics, "site", "agent")).Value(); got != 1 {
+			t.Fatalf("%s{site=\"agent\"} = %d, want 1", obs.MetricPanics, got)
 		}
 		// The serve step survived: a second panicking request is
 		// contained the same way.

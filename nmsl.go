@@ -123,10 +123,6 @@ const (
 	// The containment and MIB closures are materialized as indexed fact
 	// tables before solving.
 	EngineLogic = consistency.EngineLogic
-	// EngineLogicRecursive is EngineLogic over the paper's recursive
-	// transitivity rules, without materialized closures — the parity
-	// oracle; expect it to be much slower on deep hierarchies.
-	EngineLogicRecursive = consistency.EngineLogicRecursive
 )
 
 // Incremental checking re-exports.
@@ -204,8 +200,8 @@ func WithWorkers(n int) CheckOption {
 	return func(o *consistency.Options) { o.Workers = n }
 }
 
-// WithEngine selects the evaluator: EngineIndexed (default),
-// EngineLogic or EngineLogicRecursive.
+// WithEngine selects the evaluator: EngineIndexed (default) or
+// EngineLogic.
 func WithEngine(e CheckEngine) CheckOption {
 	return func(o *consistency.Options) { o.Engine = e }
 }
@@ -420,13 +416,11 @@ func (s *Specification) Generate(tag string, w io.Writer) error {
 }
 
 // WriteConsistencyProgram writes the complete logic program the checker
-// evaluates: derived facts plus the consistency rules, in Prolog/CLP(R)
-// notation.
+// evaluates, derived facts and consistency rules, in Prolog/CLP(R)
+// notation: the clauses of the program EngineLogic solves, before its
+// closures are materialized.
 func (s *Specification) WriteConsistencyProgram(w io.Writer) error {
-	if err := consistency.WriteFacts(w, s.model); err != nil {
-		return err
-	}
-	return consistency.WriteRules(w)
+	return consistency.BuildDBRecursive(s.model).Write(w)
 }
 
 // AgentConfigs derives per-agent-instance configurations (the

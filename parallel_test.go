@@ -95,7 +95,7 @@ func paritySpecs(t *testing.T) []parityCase {
 // TestParallelParityCorpus asserts that every check path renders the
 // serial Report byte for byte — String() and RefsChecked — across the
 // testdata corpus and the netsim scenarios: CheckContext at workers 1,
-// 2, 4 and 8 for both logic engines and the indexed one, and every
+// 2, 4 and 8 for the logic engine and the indexed one, and every
 // CheckDelta path (an empty delta on the same model, a rebuilt model,
 // and the nil and Full fallbacks), whose violations must point into the
 // current model.
@@ -105,16 +105,14 @@ func TestParallelParityCorpus(t *testing.T) {
 			spec := tc.compile(t)
 			m := spec.Model()
 			serial := spec.Check()
-			for _, e := range []CheckEngine{EngineLogic, EngineLogicRecursive} {
-				want := checkEngine(t, m, e).String()
-				for _, w := range []int{1, 2, 4, 8} {
-					rep, err := spec.CheckContext(context.Background(), WithWorkers(w), WithEngine(e))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.String() != want {
-						t.Errorf("workers=%d engine %d diverges:\n%s\nvs\n%s", w, e, rep, want)
-					}
+			want := checkEngine(t, m, EngineLogic).String()
+			for _, w := range []int{1, 2, 4, 8} {
+				rep, err := spec.CheckContext(context.Background(), WithWorkers(w), WithEngine(EngineLogic))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.String() != want {
+					t.Errorf("workers=%d logic engine diverges:\n%s\nvs\n%s", w, rep, want)
 				}
 			}
 			got := map[string]*Report{}
