@@ -41,7 +41,10 @@ MEGA_AGENTS ?= 1000
 # 1000 unmarshals of the benchmark's one-community blob per op) is held
 # by allocs/op: reflection through encoding/json reads 15,000 where the
 # direct reader reads 6,000.
-GUARDED_BENCH = ^(BenchmarkCompileDomains1000|BenchmarkCompileDomains10000|BenchmarkCheckParallel1|BenchmarkCheckParallel8|BenchmarkCheckWarmCache|BenchmarkChangeContractCheck|BenchmarkCheckDomains10000|BenchmarkCheckParallel10k1|BenchmarkCheckParallel10k8|BenchmarkMemAgentRoundTrip|BenchmarkMegaFleetInstall|BenchmarkConfigGen20k|BenchmarkConfigCodecMarshal|BenchmarkConfigCodecUnmarshal)$$
+GUARDED_BENCH = CompileDomains1000 CompileDomains10000 CheckParallel1 \
+	CheckParallel8 CheckWarmCache ChangeContractCheck CheckDomains10000 \
+	CheckParallel10k1 CheckParallel10k8 MemAgentRoundTrip MegaFleetInstall \
+	ConfigGen20k ConfigCodecMarshal ConfigCodecUnmarshal
 
 # The committed baselines bench-guard compares against, oldest first: a
 # successor supersedes the benchmarks it measured again.
@@ -52,7 +55,25 @@ BENCH_BASELINES = BENCH_5.json,BENCH_14.json,BENCH_15.json,BENCH_28.json,BENCH_3
 # takes ~30s and each iteration seconds, so these run at -benchtime=2x
 # -count=2 (still four samples — enough for benchguard, which ignores
 # single-iteration entries) instead of the fast tier's 20x/3.
-GUARDED_SCALE_BENCH = ^(BenchmarkCheckDomains100k|BenchmarkCheckDomains100kWarmDelta|BenchmarkMegaFleetInstall25k)$$
+GUARDED_SCALE_BENCH = CheckDomains100k CheckDomains100kWarmDelta MegaFleetInstall25k
+
+# The two lists above are the only copy of the guarded set: go test gets
+# them as an anchored -bench pattern, benchguard as a comma list.
+empty :=
+space := $(empty) $(empty)
+comma := ,
+bench-re = ^Benchmark($(subst $(space),|,$(strip $(1))))$$
+GUARDED_NAMES = $(subst $(space),$(comma),$(strip $(GUARDED_BENCH) $(GUARDED_SCALE_BENCH)))
+
+# One sampled run of both guarded tiers, appended to the text $(1) and
+# converted to the JSON document $(1:.txt=.json).
+define guarded-run
+	$(GO) test -bench='$(call bench-re,$(GUARDED_BENCH))' -benchmem \
+		-benchtime=20x -count=3 -run='^$$' . | tee -a $(1)
+	$(GO) test -bench='$(call bench-re,$(GUARDED_SCALE_BENCH))' -benchmem \
+		-benchtime=2x -count=2 -timeout 30m -run='^$$' . | tee -a $(1)
+	$(GO) run ./scripts/benchguard json < $(1) > $(1:.txt=.json)
+endef
 
 # How many times the chaos crash-resume tests repeat; the nightly CI job
 # raises this to 10.
@@ -148,24 +169,32 @@ bench:
 bench-parallel:
 	$(GO) test -bench='BenchmarkCheckParallel' -run='^$$' .
 
-# Mutex-contention profile of the parallel check hot path: runs repeated
-# 8-worker checks of the 1k-domain internet with the runtime mutex
-# profiler at fraction 1, prints the most-contended call sites, and
-# writes mutex.pb.gz for `go tool pprof`. A healthy run reports zero
-# contended sites on the check path; cache-mutex or obs-registry frames
-# reappearing here means the per-worker batching regressed.
+# Mutex-contention profile of the parallel check hot path: 8-worker
+# checks of the 1k-domain internet (BenchmarkCheckParallel8) with the
+# runtime mutex profiler at fraction 1, writing mutex.pb.gz and printing
+# the most-contended call sites. A healthy run reports no contended site
+# on the check path; cache-mutex or obs-registry frames reappearing here
+# mean the per-worker batching regressed. The test binary goes to a
+# temporary directory, so the checkout keeps only the profile.
 bench-mutex:
-	$(GO) run ./scripts/benchmutex -domains 1000 -workers 8 -iters 10 -out mutex.pb.gz
+	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) test -run '^$$' -bench '^BenchmarkCheckParallel8$$' -benchtime 10x \
+		-mutexprofile mutex.pb.gz -mutexprofilefraction 1 -o "$$bin/nmsl.test" . && \
+	$(GO) tool pprof -top mutex.pb.gz
 
-# Allocation profile (-alloc_space) of the checking hot path: one cold
-# check plus repeated warm delta re-checks of the 1k-domain internet
-# with the heap sampler at fine grain, printing the top allocating call
-# sites and writing heap.pb.gz for `go tool pprof -alloc_space`. Any
-# site inside the per-ref steady-state path appearing here means the
-# arena/scratch reuse regressed (the hard gates are the zero-alloc
-# tests and benchguard's allocs/op comparison; this names the culprit).
+# Allocation profile (alloc_space) of the checking hot path: the 1k-
+# domain internet's cold check and cache fill, then one warm single-
+# instance delta re-check per iteration (BenchmarkCheckWarmCache), with
+# the heap sampler at fine grain, writing heap.pb.gz and printing the top
+# allocating call sites. Any site inside the per-ref steady-state path
+# appearing here means the arena/scratch reuse regressed (the hard gates
+# are the zero-alloc tests and benchguard's allocs/op comparison; this
+# names the culprit).
 bench-heap:
-	$(GO) run ./scripts/benchheap -domains 1000 -warm 50 -out heap.pb.gz
+	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) test -run '^$$' -bench '^BenchmarkCheckWarmCache$$' -benchtime 50x \
+		-memprofile heap.pb.gz -memprofilerate 4096 -o "$$bin/nmsl.test" . && \
+	$(GO) tool pprof -top -sample_index=alloc_space heap.pb.gz
 
 # Rollout sweep: wall-clock and attempts/target vs worker count and
 # injected packet loss (E-ROLL in EXPERIMENTS.md).
@@ -182,18 +211,16 @@ cover:
 
 # Service smoke + latency SLO gate: drive an in-process nmsld with the
 # synthetic many-tenant load generator (16 tenants, short burst), write
-# BENCH_svc.json, then fail the build when the warm delta-check p99
-# exceeds the budget or throughput collapses. The budgets in
-# scripts/slogate default an order of magnitude above the measured
+# BENCH_svc.json, and fail the build when the warm delta-check p99
+# exceeds -max-warm-p99 or throughput falls below -min-checks-per-sec.
+# nmslload's budgets default an order of magnitude above the measured
 # numbers, so this catches accidental cold paths, not CI jitter.
 svc-smoke:
 	$(GO) run ./cmd/nmslload -tenants 16 -duration 2s -out BENCH_svc.json
-	$(GO) run ./scripts/slogate -in BENCH_svc.json
 
 # The full E-SVC-1 measurement: 64 tenants, longer sustained phase.
 svc-bench:
 	$(GO) run ./cmd/nmslload -tenants 64 -duration 10s -conc 8 -out BENCH_svc.json
-	$(GO) run ./scripts/slogate -in BENCH_svc.json
 
 # Bench smoke for CI: one iteration of every benchmark — a compile-and-
 # run sanity pass, not a measurement — plus properly-sampled runs of the
@@ -201,11 +228,7 @@ svc-bench:
 # archived as BENCH_ci.json.
 bench-ci: bench-mutex bench-heap
 	$(GO) test -bench=. -benchmem -benchtime=1x -timeout 30m -run='^$$' . | tee BENCH_ci.txt
-	$(GO) test -bench='$(GUARDED_BENCH)' -benchmem \
-		-benchtime=20x -count=3 -run='^$$' . | tee -a BENCH_ci.txt
-	$(GO) test -bench='$(GUARDED_SCALE_BENCH)' -benchmem \
-		-benchtime=2x -count=2 -timeout 30m -run='^$$' . | tee -a BENCH_ci.txt
-	$(GO) run ./scripts/bench2json < BENCH_ci.txt > BENCH_ci.json
+	$(call guarded-run,BENCH_ci.txt)
 
 # Regression guard over the perf-critical benchmarks: measure the
 # sharded check and the warm-cache incremental re-check (min of three
@@ -214,19 +237,13 @@ bench-ci: bench-mutex bench-heap
 # was recorded on other hardware (the guard compares CPU strings) gets no
 # ns/op verdict; its allocs/op and B/op are compared everywhere.
 bench-guard:
-	$(GO) test -bench='$(GUARDED_BENCH)' -benchmem \
-		-benchtime=20x -count=3 -run='^$$' . | tee BENCH_guard.txt
-	$(GO) test -bench='$(GUARDED_SCALE_BENCH)' -benchmem \
-		-benchtime=2x -count=2 -timeout 30m -run='^$$' . | tee -a BENCH_guard.txt
-	$(GO) run ./scripts/bench2json < BENCH_guard.txt > BENCH_guard.json
-	$(GO) run ./scripts/benchguard -baseline $(BENCH_BASELINES) -current BENCH_guard.json
+	rm -f BENCH_guard.txt
+	$(call guarded-run,BENCH_guard.txt)
+	$(GO) run ./scripts/benchguard -bench $(GUARDED_NAMES) -baseline $(BENCH_BASELINES) -current BENCH_guard.json
 
 # Nightly measurement of the guarded benchmarks (the scheduled CI job):
 # same sampling as bench-guard, archived rather than compared, so a
 # regression can be bisected to the night it appeared.
 bench-nightly:
-	$(GO) test -bench='$(GUARDED_BENCH)' -benchmem \
-		-benchtime=20x -count=3 -run='^$$' . | tee BENCH_nightly.txt
-	$(GO) test -bench='$(GUARDED_SCALE_BENCH)' -benchmem \
-		-benchtime=2x -count=2 -timeout 30m -run='^$$' . | tee -a BENCH_nightly.txt
-	$(GO) run ./scripts/bench2json < BENCH_nightly.txt > BENCH_nightly.json
+	rm -f BENCH_nightly.txt
+	$(call guarded-run,BENCH_nightly.txt)

@@ -1,10 +1,14 @@
 package configgen
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +16,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -829,4 +834,84 @@ func TestInstallLiveEndToEnd(t *testing.T) {
 	if !ok || re.Status != snmp.ReadOnly {
 		t.Fatalf("write result: %v", err)
 	}
+}
+
+// ParseSnmpdConf parses the BartsSnmpd text format back into a Config:
+// the reader the round-trip, golden and fuzz tests hold the writer to.
+func ParseSnmpdConf(r io.Reader) (*snmp.Config, error) {
+	cfg := &snmp.Config{Communities: map[string]*snmp.CommunityConfig{}}
+	sc := bufio.NewScanner(r)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "admin":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("line %d: admin takes one community", lineNo)
+			}
+			cfg.AdminCommunity = fields[1]
+		case "community":
+			if len(fields) != 5 {
+				return nil, fmt.Errorf("line %d: community takes name, access, interval and views", lineNo)
+			}
+			acc, err := mib.ParseAccess(fields[2])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s", lineNo, err)
+			}
+			secs, err := strconv.ParseFloat(fields[3], 64)
+			ns := math.Round(secs * float64(time.Second))
+			if err != nil || !(math.Abs(ns) < 1<<62) {
+				return nil, fmt.Errorf("line %d: bad interval %q", lineNo, fields[3])
+			}
+			// The writer's %g carries at most 17 digits, too few for the
+			// nanoseconds past 2^51 ns (about 26 days); whole seconds
+			// there are what it writes back exactly.
+			iv := time.Duration(ns)
+			if iv.Abs() >= 1<<51 {
+				iv = iv.Round(time.Second)
+			}
+			cc := &snmp.CommunityConfig{Access: acc, MinInterval: iv}
+			for _, vs := range strings.Split(fields[4], ",") {
+				spec := vs
+				mode := mib.AccessUnspecified
+				if oidPart, modePart, found := strings.Cut(vs, ":"); found {
+					a, err := mib.ParseAccess(modePart)
+					if err != nil {
+						return nil, fmt.Errorf("line %d: %s", lineNo, err)
+					}
+					spec, mode = oidPart, a
+				}
+				oid, err := parseOID(spec)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %s", lineNo, err)
+				}
+				cc.View = append(cc.View, snmp.View{Prefix: oid, Access: mode})
+			}
+			cfg.Communities[fields[1]] = cc
+		default:
+			return nil, fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+func parseOID(s string) (mib.OID, error) {
+	parts := strings.Split(s, ".")
+	oid := make(mib.OID, 0, len(parts))
+	for _, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("bad OID %q", s)
+		}
+		oid = append(oid, n)
+	}
+	return oid, nil
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -246,33 +245,6 @@ func TestHTTPVerifyChange(t *testing.T) {
 	do(t, ts, http.MethodGet, "/v1/tenants/acme", nil, &info, http.StatusOK)
 	if info.Generation != 1 {
 		t.Fatalf("verify-change moved the generation to %d", info.Generation)
-	}
-}
-
-// TestRunLoadSmoke drives the load generator against an in-process
-// server — the same path make svc-smoke takes, shrunk for test time.
-func TestRunLoadSmoke(t *testing.T) {
-	_, ts := newTestServer(t)
-	res, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:          ts.URL,
-		Client:           ts.Client(),
-		Tenants:          6,
-		DomainsPerTenant: 2,
-		SystemsPerDomain: 2,
-		Duration:         300 * time.Millisecond,
-		Conc:             3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ViolationsOK {
-		t.Fatal("load run saw wrong violation counts")
-	}
-	if res.ColdChecks != 6 || res.DeltaChecks == 0 || res.Errors != 0 {
-		t.Fatalf("bad load result: %+v", res)
-	}
-	if res.WarmP99NS <= 0 || res.WarmP50NS > res.WarmP99NS {
-		t.Fatalf("bad percentiles: p50=%d p99=%d", res.WarmP50NS, res.WarmP99NS)
 	}
 }
 

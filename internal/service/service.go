@@ -147,15 +147,6 @@ func WithCacheMaxEntries(n int) Option { return func(o *options) { o.cacheMaxEnt
 // flusher; Flush and Close still persist on demand.
 func WithFlushInterval(d time.Duration) Option { return func(o *options) { o.flushInterval = d } }
 
-// WithMetrics selects where service counters land: nil (the default)
-// records into obs.Default, obs.Disabled turns them off — the same
-// convention as the checker and the rollout.
-func WithMetrics(reg *obs.Registry) Option { return func(o *options) { o.metrics = reg } }
-
-// WithClock replaces the service clock (rate-limit windows); tests
-// drive buckets deterministically through it.
-func WithClock(now func() time.Time) Option { return func(o *options) { o.now = now } }
-
 // Service is the resident multi-tenant checker.
 type Service struct {
 	opt options

@@ -1,10 +1,20 @@
-// benchguard compares a fresh benchmark run against the committed
-// baseline (BENCH_5.json and successors) and fails when a guarded
-// benchmark regresses beyond the tolerance — in time (ns/op) or in
-// allocation (allocs/op, B/op). It reads the JSON documents produced by
-// scripts/bench2json; with -count > 1 the same benchmark appears
-// several times and the minimum of each metric is used on both sides,
-// which discounts scheduler noise without hiding real regressions.
+// benchguard is the benchmark tool: it turns `go test -bench` text into
+// the JSON document the committed baselines (BENCH_5.json and
+// successors) and the CI artifacts are written in, and it fails a run
+// in which a guarded benchmark regresses beyond the tolerance — in time
+// (ns/op) or in allocation (allocs/op, B/op) — against those baselines.
+//
+// Usage:
+//
+//	go test -bench=. -benchmem -run='^$' . | go run ./scripts/benchguard json > run.json
+//	go run ./scripts/benchguard -bench CheckWarmCache,ConfigGen20k \
+//		-baseline BENCH_5.json,BENCH_14.json -current run.json
+//
+// The guarded set is the Makefile's (GUARDED_BENCH and
+// GUARDED_SCALE_BENCH); the tool has none of its own. With -count > 1
+// the same benchmark appears several times and the minimum of each
+// metric is used on both sides, which discounts scheduler noise without
+// hiding real regressions.
 //
 // Allocation counts are near-deterministic, so they are compared with
 // the same fractional tolerance plus half an allocation of slack: a
@@ -23,34 +33,128 @@
 // rest of the earlier baseline standing. Each entry keeps the CPU of the
 // document it came from.
 //
-// Usage:
-//
-//	go run ./scripts/benchguard -baseline BENCH_5.json,BENCH_14.json -current BENCH_guard.json
+// Exit status: 0 within tolerance, 1 on a regression, a guarded
+// benchmark missing from the run or an unreadable document, 2 on usage
+// errors.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 )
 
-// Benchmark and Document mirror the fields of scripts/bench2json that
-// the guard consumes.
+// Benchmark is one result line, e.g.
+//
+//	BenchmarkCheckParallel8-16    90    13210450 ns/op    1734 B/op    21 allocs/op
 type Benchmark struct {
 	Name        string  `json:"name"`
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 	// CPU is the entry's document's, set by load.
 	CPU string `json:"-"`
 }
 
+// Document is the whole run: the platform header go test prints plus
+// every benchmark line, in order.
 type Document struct {
+	Goos       string      `json:"goos,omitempty"`
+	Goarch     string      `json:"goarch,omitempty"`
+	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+func main() {
+	if len(os.Args) > 1 && os.Args[1] == "json" {
+		os.Exit(toJSON(os.Stdin, os.Stdout, os.Stderr))
+	}
+	os.Exit(guard(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// toJSON is the json subcommand: go test text in, one Document out.
+func toJSON(in io.Reader, stdout, stderr io.Writer) int {
+	doc, err := parse(bufio.NewScanner(in))
+	if err == nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(doc)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "benchguard: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func parse(sc *bufio.Scanner) (*Document, error) {
+	doc := &Document{Benchmarks: []Benchmark{}}
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			b, err := parseLine(line)
+			if err != nil {
+				return nil, fmt.Errorf("%q: %w", line, err)
+			}
+			doc.Benchmarks = append(doc.Benchmarks, b)
+		}
+	}
+	return doc, sc.Err()
+}
+
+func parseLine(line string) (Benchmark, error) {
+	f := strings.Fields(line)
+	if len(f) < 2 {
+		return Benchmark{}, fmt.Errorf("want at least name and iterations")
+	}
+	b := Benchmark{Name: strings.TrimPrefix(f[0], "Benchmark")}
+	// The trailing -N is GOMAXPROCS, not part of the name.
+	if i := strings.LastIndex(b.Name, "-"); i >= 0 {
+		if procs, err := strconv.Atoi(b.Name[i+1:]); err == nil {
+			b.Name, b.Procs = b.Name[:i], procs
+		}
+	}
+	iters, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return Benchmark{}, fmt.Errorf("iterations: %w", err)
+	}
+	b.Iterations = iters
+	// The rest is value/unit pairs.
+	for i := 2; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Benchmark{}, fmt.Errorf("value %q: %w", f[i], err)
+		}
+		switch f[i+1] {
+		case "ns/op":
+			b.NsPerOp = v
+		case "B/op":
+			b.BytesPerOp = v
+		case "allocs/op":
+			b.AllocsPerOp = v
+		case "MB/s":
+			b.MBPerSec = v
+		}
+	}
+	return b, nil
 }
 
 // sample is the per-side minimum of each guarded metric.
@@ -219,39 +323,52 @@ func load(path string) (*Document, error) {
 	return &d, nil
 }
 
-func main() {
-	baseline := flag.String("baseline", "BENCH_5.json", "committed baseline documents (bench2json format), comma-separated, successors last")
-	current := flag.String("current", "BENCH_guard.json", "fresh run to compare (bench2json format)")
-	tol := flag.Float64("tolerance", 0.20, "allowed fractional drift before failing")
-	bench := flag.String("bench",
-		"CompileDomains1000,CompileDomains10000,CheckParallel1,CheckParallel8,CheckWarmCache,ChangeContractCheck,CheckDomains10000,CheckParallel10k1,CheckParallel10k8,MemAgentRoundTrip,MegaFleetInstall,ConfigGen20k,ConfigCodecMarshal,ConfigCodecUnmarshal,CheckDomains100k,CheckDomains100kWarmDelta,MegaFleetInstall25k",
-		"comma-separated guarded benchmark names (bench2json names, no Benchmark prefix)")
-	flag.Parse()
+// splitList splits a comma-separated flag value, trimming each item.
+func splitList(s string) []string {
+	items := strings.Split(s, ",")
+	for i := range items {
+		items[i] = strings.TrimSpace(items[i])
+	}
+	return items
+}
+
+// guard is the compare mode: the current document against the merged
+// baselines, one verdict per guarded benchmark.
+func guard(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "BENCH_5.json", "committed baseline documents, comma-separated, successors last")
+	current := fs.String("current", "BENCH_guard.json", "fresh run to compare (a `benchguard json` document)")
+	tol := fs.Float64("tolerance", 0.20, "allowed fractional drift before failing")
+	bench := fs.String("bench", "", "comma-separated guarded benchmark names, without the Benchmark prefix")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *bench == "" {
+		fmt.Fprintln(stderr, "benchguard: -bench names no benchmark")
+		return 2
+	}
 
 	var baselines []*Document
-	for _, path := range strings.Split(*baseline, ",") {
-		d, err := load(strings.TrimSpace(path))
+	for _, path := range splitList(*baseline) {
+		d, err := load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchguard: %v\n", err)
+			return 1
 		}
 		baselines = append(baselines, d)
 	}
-	base := mergeBaselines(baselines)
 	cur, err := load(*current)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchguard: %v\n", err)
+		return 1
 	}
-	names := strings.Split(*bench, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	results, failed := compare(base, cur, names, *tol)
-	fmt.Print(render(results, *tol))
+	results, failed := compare(mergeBaselines(baselines), cur, splitList(*bench), *tol)
+	fmt.Fprint(stdout, render(results, *tol))
 	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "benchguard: FAIL")
+		return 1
 	}
-	fmt.Println("benchguard: ok")
+	fmt.Fprintln(stdout, "benchguard: ok")
+	return 0
 }

@@ -1,9 +1,114 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+func TestParse(t *testing.T) {
+	const in = `goos: linux
+goarch: amd64
+pkg: nmsl
+cpu: Example CPU @ 2.00GHz
+BenchmarkCheckParallel8-16    	      90	  13210450 ns/op	    1734 B/op	      21 allocs/op
+BenchmarkDistributeSerial     	    1000	    701234 ns/op
+PASS
+ok  	nmsl	3.456s
+`
+	doc, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Goos != "linux" || doc.Goarch != "amd64" || doc.Pkg != "nmsl" {
+		t.Errorf("header: %+v", doc)
+	}
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("benchmarks: %+v", doc.Benchmarks)
+	}
+	b := doc.Benchmarks[0]
+	if b.Name != "CheckParallel8" || b.Procs != 16 || b.Iterations != 90 ||
+		b.NsPerOp != 13210450 || b.BytesPerOp != 1734 || b.AllocsPerOp != 21 {
+		t.Errorf("first: %+v", b)
+	}
+	if doc.Benchmarks[1].Name != "DistributeSerial" || doc.Benchmarks[1].Procs != 0 {
+		t.Errorf("second: %+v", doc.Benchmarks[1])
+	}
+}
+
+func TestParseRejectsGarbage(t *testing.T) {
+	if _, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkBroken notanumber ns/op\n"))); err == nil {
+		t.Fatal("want error")
+	}
+}
+
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// TestGolden runs both modes end to end on a committed go test text:
+// `json` writes testdata/run.json, and the guard reads it against the
+// committed baselines. The text holds a -benchtime=1x smoke entry (the
+// only sample of CheckDomains100k, and a too-fast extra one of
+// CheckParallel8), a custom refs metric, MB/s, a sub-benchmark and a
+// baseline from another CPU; the verdicts cover ok, improvement, a
+// timing and an allocation regression, no-baseline and a missing
+// benchmark.
+func TestGolden(t *testing.T) {
+	in, err := os.Open(filepath.Join("testdata", "run.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	var js, stderr bytes.Buffer
+	if code := toJSON(in, &js, &stderr); code != 0 {
+		t.Fatalf("json: exit %d: %s", code, stderr.String())
+	}
+	checkGolden(t, "run.json", js.Bytes())
+
+	var out bytes.Buffer
+	code := guard([]string{
+		"-baseline", "../../BENCH_5.json,../../BENCH_14.json,../../BENCH_15.json,../../BENCH_28.json,../../BENCH_37.json",
+		"-current", filepath.Join("testdata", "run.json"),
+		"-bench", "CheckParallel8,CheckWarmCache,CheckParallel1,CompileDomains1000,ConfigCodecMarshal,MemAgentRoundTrip,CheckParallel/workers=8,CheckDomains100k",
+	}, &out, &stderr)
+	if code != 1 {
+		t.Errorf("guard: exit %d, want 1: %s", code, stderr.String())
+	}
+	checkGolden(t, "verdicts.golden", out.Bytes())
+}
+
+// The guarded set is the caller's: without -bench there is nothing to
+// guard, which is a usage error rather than a pass.
+func TestGuardNeedsBench(t *testing.T) {
+	var out, stderr bytes.Buffer
+	if code := guard([]string{"-current", filepath.Join("testdata", "run.json")}, &out, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-bench") {
+		t.Errorf("stderr: %q", stderr.String())
+	}
+}
 
 func doc(cpu string, entries ...Benchmark) *Document {
 	for i := range entries {
