@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,7 @@ import (
 	"nmsl/internal/obs"
 	"nmsl/internal/paperspec"
 	"nmsl/internal/parser"
+	"nmsl/internal/sema"
 	"nmsl/internal/simrun"
 	"nmsl/internal/snmp"
 
@@ -340,6 +342,28 @@ func BenchmarkCompileDomains10(b *testing.B)    { benchCompile(b, 10) }
 func BenchmarkCompileDomains100(b *testing.B)   { benchCompile(b, 100) }
 func BenchmarkCompileDomains1000(b *testing.B)  { benchCompile(b, 1000) }
 func BenchmarkCompileDomains10000(b *testing.B) { benchCompile(b, 10000) }
+
+// benchDiffSpecs diffs two separately compiled revisions of a netsim
+// internet that differ in one poller's period: the declaration diff an
+// accepted edit pays twice, once for CheckDelta and once in
+// VerifyChange. It walks the whole specification, so its time grows
+// with the domains; its allocations do not.
+func benchDiffSpecs(b *testing.B, domains int) {
+	src := netsim.Source(netsim.Params{Domains: domains, SystemsPerDomain: 2, NestingDepth: 1, Seed: 1})
+	const tail = "minutes;\nend process pollerT0."
+	old := compileSource(b, "old.nmsl", src)
+	edited := compileSource(b, "new.nmsl", strings.Replace(src, ">= 5 "+tail, ">= 10 "+tail, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := sema.DiffSpecs(old.AST(), edited.AST()); len(d.Processes) != 1 {
+			b.Fatalf("delta %+v, want one process", d)
+		}
+	}
+}
+
+func BenchmarkDiffSpecs1000(b *testing.B)  { benchDiffSpecs(b, 1000) }
+func BenchmarkDiffSpecs10000(b *testing.B) { benchDiffSpecs(b, 10000) }
 
 // BenchmarkCompilePaperSpec compiles the paper's own figures, the
 // smallest realistic unit of work.

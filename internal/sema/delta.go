@@ -1,12 +1,12 @@
 package sema
 
 import (
-	"reflect"
+	"slices"
 	"sort"
 
+	"nmsl/internal/asn1"
 	"nmsl/internal/ast"
 	"nmsl/internal/parser"
-	"nmsl/internal/token"
 )
 
 // Spec diffing for incremental re-checking. DiffSpecs compares two linked
@@ -49,23 +49,24 @@ func DiffSpecs(old, new *ast.Spec) *SpecDelta {
 	if new == nil {
 		new = ast.NewSpec()
 	}
-	d.Types = diffMap(old.Types, new.Types)
-	d.Processes = diffMap(old.Processes, new.Processes)
-	d.Systems = diffMap(old.Systems, new.Systems)
-	d.Domains = diffMap(old.Domains, new.Domains)
-	d.ExtChanged = !declEqual(reflect.ValueOf(old.Ext), reflect.ValueOf(new.Ext))
+	d.Types = diffMap(old.Types, new.Types, typeSpecEqual)
+	d.Processes = diffMap(old.Processes, new.Processes, processSpecEqual)
+	d.Systems = diffMap(old.Systems, new.Systems, systemSpecEqual)
+	d.Domains = diffMap(old.Domains, new.Domains, domainSpecEqual)
+	d.ExtChanged = !extEqual(old.Ext, new.Ext)
 	return d
 }
 
 // diffMap returns, sorted, the names present in exactly one map or
-// bound to semantically different declarations; nil if there are none.
-func diffMap[T any](old, new map[string]*T) []string {
+// bound to declarations that equal reports different; nil if there are
+// none.
+func diffMap[T any](old, new map[string]*T, equal func(a, b *T) bool) []string {
 	var names []string
 	for name, ov := range old {
 		nv, ok := new[name]
 		// Shared declaration pointers (a spec diffed against an edited
 		// copy of itself) are equal without walking.
-		if !ok || ov != nv && !declEqual(reflect.ValueOf(ov), reflect.ValueOf(nv)) {
+		if !ok || ov != nv && !equal(ov, nv) {
 			names = append(names, name)
 		}
 	}
@@ -78,88 +79,120 @@ func diffMap[T any](old, new map[string]*T) []string {
 	return names
 }
 
-var (
-	posType  = reflect.TypeOf(token.Pos{})
-	declType = reflect.TypeOf((*parser.Decl)(nil))
-)
+// The typed equalities below are declaration equality: every field of
+// the declaration and of what it holds compares with ==, nil and empty
+// slices are equal, and token.Pos fields and *parser.Decl back-pointers
+// are skipped, so position-only differences (reformatting, reordering
+// files) do not register as changes. The ast is a tree, so they recurse
+// without a cycle guard and allocate nothing. TestEqualCoversEveryField
+// fails when a field is added to the ast without a comparison here.
 
-// declEqual is reflect.DeepEqual restricted to declaration content:
-// token.Pos values and *parser.Decl back-pointers compare equal
-// regardless of value, so position-only differences (reformatting,
-// reordering files) do not register as changes. visited guards against
-// cycles through pointer pairs, mirroring DeepEqual. The cycle map is
-// allocated lazily, on the first distinct pointer pair — a 10k-domain
-// diff walks hundreds of thousands of declaration pairs, and most
-// comparisons (equal scalars, shared pointers) never need it.
-func declEqual(a, b reflect.Value) bool {
-	var seen map[[2]uintptr]bool
-	return declEqualSeen(a, b, &seen)
+func typeSpecEqual(a, b *ast.TypeSpec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name && asn1TypeEqual(a.Body, b.Body) && a.Access == b.Access
 }
 
-func declEqualSeen(a, b reflect.Value, seen *map[[2]uintptr]bool) bool {
-	if !a.IsValid() || !b.IsValid() {
-		return a.IsValid() == b.IsValid()
+func processSpecEqual(a, b *ast.ProcessSpec) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	if a.Type() != b.Type() {
+	return a.Name == b.Name &&
+		slices.EqualFunc(a.Params, b.Params, procParamEqual) &&
+		slices.Equal(a.Supports, b.Supports) &&
+		slices.EqualFunc(a.Exports, b.Exports, exportEqual) &&
+		slices.EqualFunc(a.Queries, b.Queries, queryEqual)
+}
+
+func systemSpecEqual(a, b *ast.SystemSpec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name && a.CPU == b.CPU &&
+		slices.EqualFunc(a.Interfaces, b.Interfaces, interfaceEqual) &&
+		a.OpSys == b.OpSys && a.OpSysVersion == b.OpSysVersion &&
+		slices.Equal(a.Supports, b.Supports) &&
+		slices.EqualFunc(a.Processes, b.Processes, procInstanceEqual)
+}
+
+func domainSpecEqual(a, b *ast.DomainSpec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name &&
+		slices.Equal(a.Systems, b.Systems) &&
+		slices.Equal(a.Subdomains, b.Subdomains) &&
+		slices.EqualFunc(a.Processes, b.Processes, procInstanceEqual) &&
+		slices.EqualFunc(a.Exports, b.Exports, exportEqual)
+}
+
+// extEqual compares two extension clause stores; nil and empty are
+// equal.
+func extEqual(a, b map[string][]ast.ExtClause) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	if a.Type() == posType || a.Type() == declType {
-		return true
-	}
-	switch a.Kind() {
-	case reflect.Pointer:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
-		}
-		if a.Pointer() == b.Pointer() {
-			return true
-		}
-		key := [2]uintptr{a.Pointer(), b.Pointer()}
-		if *seen == nil {
-			*seen = make(map[[2]uintptr]bool, 8)
-		}
-		if (*seen)[key] {
-			return true
-		}
-		(*seen)[key] = true
-		return declEqualSeen(a.Elem(), b.Elem(), seen)
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if !declEqualSeen(a.Field(i), b.Field(i), seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Slice, reflect.Array:
-		// nil and empty slices compare equal: the distinction carries no
-		// declaration semantics.
-		if a.Len() != b.Len() {
+	for key, ac := range a {
+		bc, ok := b[key]
+		if !ok || !slices.EqualFunc(ac, bc, extClauseEqual) {
 			return false
 		}
-		for i := 0; i < a.Len(); i++ {
-			if !declEqualSeen(a.Index(i), b.Index(i), seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Map:
-		if a.Len() != b.Len() {
-			return false
-		}
-		iter := a.MapRange()
-		for iter.Next() {
-			bv := b.MapIndex(iter.Key())
-			if !bv.IsValid() || !declEqualSeen(iter.Value(), bv, seen) {
-				return false
-			}
-		}
-		return true
-	case reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
-		}
-		return declEqualSeen(a.Elem(), b.Elem(), seen)
-	default:
-		return a.Interface() == b.Interface()
 	}
+	return true
+}
+
+func extClauseEqual(a, b ast.ExtClause) bool {
+	return a.DeclType == b.DeclType && a.DeclName == b.DeclName &&
+		a.Keyword == b.Keyword && slices.Equal(a.Names, b.Names) &&
+		freqEqual(a.Freq, b.Freq) && slices.EqualFunc(a.Raw, b.Raw, itemEqual)
+}
+
+func asn1TypeEqual(a, b *asn1.Type) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a == b {
+		return true
+	}
+	return a.Kind == b.Kind && a.Name == b.Name && asn1TypeEqual(a.Elem, b.Elem) &&
+		slices.EqualFunc(a.Fields, b.Fields, func(x, y asn1.Field) bool {
+			return x.Name == y.Name && asn1TypeEqual(x.Type, y.Type)
+		})
+}
+
+func procParamEqual(a, b ast.ProcParam) bool { return a.Name == b.Name && a.Type == b.Type }
+
+func exportEqual(a, b ast.Export) bool {
+	return slices.Equal(a.Vars, b.Vars) && a.To == b.To && a.Access == b.Access &&
+		freqEqual(a.Freq, b.Freq)
+}
+
+func queryEqual(a, b ast.Query) bool {
+	return a.Target == b.Target && slices.Equal(a.Requests, b.Requests) &&
+		slices.EqualFunc(a.Using, b.Using, selectionEqual) &&
+		a.Access == b.Access && freqEqual(a.Freq, b.Freq)
+}
+
+func selectionEqual(a, b ast.Selection) bool { return a.Var == b.Var && itemEqual(a.Value, b.Value) }
+
+func freqEqual(a, b ast.Freq) bool {
+	return a.Infrequent == b.Infrequent && a.Op == b.Op && a.Seconds == b.Seconds
+}
+
+func interfaceEqual(a, b ast.Interface) bool {
+	return a.Name == b.Name && a.Net == b.Net && slices.Equal(a.Protocols, b.Protocols) &&
+		a.Type == b.Type && a.SpeedBPS == b.SpeedBPS
+}
+
+func procInstanceEqual(a, b ast.ProcInstance) bool {
+	return a.Name == b.Name && slices.EqualFunc(a.Args, b.Args, argEqual)
+}
+
+func argEqual(a, b ast.Arg) bool { return a.Kind == b.Kind && a.Text == b.Text && a.Num == b.Num }
+
+func itemEqual(a, b parser.Item) bool {
+	return a.Kind == b.Kind && a.Text == b.Text && a.IntVal == b.IntVal &&
+		a.FloatVal == b.FloatVal && a.Delim == b.Delim &&
+		slices.EqualFunc(a.Items, b.Items, itemEqual)
 }

@@ -14,3 +14,6 @@ func WithMetrics(reg *obs.Registry) Option { return func(o *options) { o.metrics
 // WithClock replaces the service clock (rate-limit windows); tests
 // drive buckets deterministically through it.
 func WithClock(now func() time.Time) Option { return func(o *options) { o.now = now } }
+
+// withFlush replaces Flush in the background flusher's ticks.
+func withFlush(fn func() error) Option { return func(o *options) { o.flush = fn } }

@@ -102,6 +102,9 @@ type options struct {
 	flushInterval   time.Duration
 	metrics         *obs.Registry
 	now             func() time.Time
+	// flush replaces Flush in the background flusher's ticks; nil (the
+	// default) runs Flush. Tests set it to make a tick panic.
+	flush func() error
 }
 
 // Option configures New, following the checker's and the rollout's
@@ -238,8 +241,14 @@ func (s *Service) Flush() error {
 }
 
 // flushLoop persists dirty caches every flush interval until Close.
+// Each tick's Flush runs under obs.Guard: a panic in it is counted in
+// nmsl_panics_total{site="nmsld"}, and the next tick runs as usual.
 func (s *Service) flushLoop() {
 	defer s.flushWG.Done()
+	flush := s.Flush
+	if s.opt.flush != nil {
+		flush = s.opt.flush
+	}
 	tick := time.NewTicker(s.opt.flushInterval)
 	defer tick.Stop()
 	for {
@@ -247,7 +256,10 @@ func (s *Service) flushLoop() {
 		case <-s.flushStop:
 			return
 		case <-tick.C:
-			_ = s.Flush() // Close's final Flush reports errors; periodic ones only count
+			// Close's final Flush reports errors; periodic ones only count.
+			if err := obs.Guard("nmsld flush", func() { _ = flush() }); err != nil {
+				s.reg.Counter(obs.L(obs.MetricPanics, "site", "nmsld")).Inc()
+			}
 		}
 	}
 }
