@@ -152,18 +152,32 @@ func TestProgramFlag(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite the golden program file")
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestReportGolden pins nmslcheck's plain report on the corpus's
+// every-violation-kind specification: the verdict line and each
+// violation's rendered message.
+func TestReportGolden(t *testing.T) {
+	checkGolden(t, "campus-broken.report.golden", "../../testdata/campus-broken.nmsl")
+}
 
 // TestProgramGolden pins the whole -program output on the corpus's
 // every-violation-kind specification: the report, then the logic
 // program the checker solves, whose facts and rules a CLP(R) system can
 // run as printed.
 func TestProgramGolden(t *testing.T) {
+	checkGolden(t, "campus-broken.program.golden", "-program", "../../testdata/campus-broken.nmsl")
+}
+
+// checkGolden runs nmslcheck on args, which must exit 1, and compares
+// its standard output with testdata/name (rewritten under -update).
+func checkGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
 	var out, errb strings.Builder
-	if code := run([]string{"-program", "../../testdata/campus-broken.nmsl"}, &out, &errb); code != 1 {
+	if code := run(args, &out, &errb); code != 1 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	golden := filepath.Join("testdata", "campus-broken.program.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -174,7 +188,7 @@ func TestProgramGolden(t *testing.T) {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
 	if out.String() != string(want) {
-		t.Fatalf("-program output differs from %s:\n%s", golden, out.String())
+		t.Fatalf("output of nmslcheck %s differs from %s:\n%s", strings.Join(args, " "), golden, out.String())
 	}
 }
 
