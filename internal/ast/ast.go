@@ -14,6 +14,7 @@ package ast
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nmsl/internal/asn1"
@@ -56,12 +57,17 @@ func (f Freq) MinPeriodSeconds() float64 {
 }
 
 // String renders the constraint in NMSL syntax.
-func (f Freq) String() string {
+func (f Freq) String() string { return string(f.AppendTo(nil)) }
+
+// AppendTo appends the String form of the constraint to b and returns
+// the extended slice, so a caller rendering many constraints into one
+// buffer allocates nothing per constraint.
+func (f Freq) AppendTo(b []byte) []byte {
 	if f.Infrequent {
-		return "infrequent"
+		return append(b, "infrequent"...)
 	}
 	if f.Unspecified() {
-		return "unspecified"
+		return append(b, "unspecified"...)
 	}
 	unit, val := "seconds", f.Seconds
 	switch {
@@ -70,11 +76,13 @@ func (f Freq) String() string {
 	case f.Seconds >= 60 && f.Seconds == float64(int64(f.Seconds/60))*60:
 		unit, val = "minutes", f.Seconds/60
 	}
-	op := f.Op
-	if op != "" {
-		op += " "
+	if f.Op != "" {
+		b = append(b, f.Op...)
+		b = append(b, ' ')
 	}
-	return fmt.Sprintf("%s%g %s", op, val, unit)
+	b = strconv.AppendFloat(b, val, 'g', -1, 64) // fmt's %g
+	b = append(b, ' ')
+	return append(b, unit...)
 }
 
 // unitSeconds maps the TimeSpec keywords of Figure 4.3.

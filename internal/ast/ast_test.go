@@ -1,6 +1,8 @@
 package ast
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"nmsl/internal/mib"
@@ -155,6 +157,55 @@ func TestFreqStringUnits(t *testing.T) {
 			t.Errorf("%+v -> %q want %q", f, got, want)
 		}
 	}
+}
+
+// fmtFreq is Freq.String as it was written with fmt, kept as the
+// oracle for the appender that replaced it.
+func fmtFreq(f Freq) string {
+	if f.Infrequent {
+		return "infrequent"
+	}
+	if f.Unspecified() {
+		return "unspecified"
+	}
+	unit, val := "seconds", f.Seconds
+	switch {
+	case f.Seconds >= 3600 && f.Seconds == float64(int64(f.Seconds/3600))*3600:
+		unit, val = "hours", f.Seconds/3600
+	case f.Seconds >= 60 && f.Seconds == float64(int64(f.Seconds/60))*60:
+		unit, val = "minutes", f.Seconds/60
+	}
+	op := f.Op
+	if op != "" {
+		op += " "
+	}
+	return fmt.Sprintf("%s%g %s", op, val, unit)
+}
+
+// FuzzFreqText holds Freq.AppendTo (and with it Freq.String) to the fmt
+// rendering it replaced, for any period, bound operator and unit: a
+// value is scaled by the unit's seconds, so whole hours and minutes
+// take the other two unit branches.
+func FuzzFreqText(f *testing.F) {
+	for _, v := range []float64{5, 1.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, 1e21, 123456789, 0.1} {
+		for u := range 3 {
+			f.Add(">=", v, uint8(u), false)
+		}
+	}
+	f.Add("", 90.0, uint8(0), false)
+	f.Add(">", 2.0, uint8(2), true)
+	f.Add("<=", -7.0, uint8(1), false)
+	f.Fuzz(func(t *testing.T, op string, v float64, unit uint8, infrequent bool) {
+		fr := Freq{Op: op, Seconds: v * [...]float64{1, 60, 3600}[unit%3], Infrequent: infrequent}
+		want := fmtFreq(fr)
+		if got := string(fr.AppendTo([]byte("prefix:"))); got != "prefix:"+want {
+			t.Fatalf("%+v: AppendTo gives %q, fmt gives %q", fr, got, "prefix:"+want)
+		}
+		if got := fr.String(); got != want {
+			t.Fatalf("%+v: String gives %q, fmt gives %q", fr, got, want)
+		}
+	})
 }
 
 func TestAccessReExports(t *testing.T) {

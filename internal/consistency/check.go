@@ -3,8 +3,8 @@ package consistency
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nmsl/internal/obs"
@@ -156,7 +156,7 @@ type Checker struct {
 	deltaBits []uint64
 }
 
-// scratch is the per-worker arena: the candidate-permission buffer, the
+// scratch is the per-worker arena: the violation-message buffer, the
 // fingerprint encoding buffer, the cache-key buffer, and the batched
 // cache counters. Every buffer is bump-reused across the worker's
 // references — after the first few references size the slabs, the
@@ -165,7 +165,7 @@ type Checker struct {
 // pointers into the model, and one scratch is owned by exactly one
 // worker (or the serial loop) at a time.
 type scratch struct {
-	perms []int32
+	msg   []byte
 	enc   []byte
 	key   []byte
 	cache cacheBatch
@@ -211,71 +211,78 @@ func (c *Checker) permLevel(pi int32, srcIdx int32, ref *Ref, t float64, strict,
 	return 3
 }
 
-// candidatePerms returns the permission indexes whose grantor covers the
-// reference's target, in ascending index order (the order the
-// fingerprint encoder hashes). The result is written into (and aliases)
-// the scratch buffer, valid until the next call on the same scratch.
-func (c *Checker) candidatePerms(ref *Ref, sc *scratch) []int32 {
-	out := sc.perms[:0]
-	co := c.co
-	ti := ref.Target.idx
-	out = append(out, co.permsByInst[ti]...)
-	for _, d := range co.instDoms(ti) {
-		out = append(out, co.permsByDom[d]...)
+// bestPerm probes the permissions pis against the reference, starting
+// from the best level and permission found so far, and returns the best
+// level reached and the first permission reaching it; it stops at a
+// full cover (3). Probing in ascending index order keeps the reported
+// near miss the lowest-numbered one.
+func (c *Checker) bestPerm(pis []int32, si int32, ref *Ref, t float64, strict, infreq bool, best int, bestPerm *Perm) (int, *Perm) {
+	for _, pi := range pis {
+		if level := c.permLevel(pi, si, ref, t, strict, infreq); level > best {
+			best, bestPerm = level, &c.m.Perms[pi]
+			if best == 3 {
+				break
+			}
+		}
 	}
-	slices.Sort(out)
-	sc.perms = out
-	return out
+	return best, bestPerm
 }
 
-// checkRef evaluates one reference and appends violations.
+// violation appends a violation of the given kind whose message is the
+// reference's text followed by the rendered cause in sc.msg: the message
+// is the one string the violation allocates.
+func (sc *scratch) violation(out *[]Violation, kind Kind, ref *Ref, near *Perm) {
+	*out = append(*out, Violation{Kind: kind, Ref: ref, NearMiss: near, Message: string(sc.msg)})
+}
+
+// checkRef evaluates one reference and appends violations. Messages are
+// rendered into the scratch's buffer only once a violation is certain.
 func (c *Checker) checkRef(ref *Ref, out *[]Violation, sc *scratch) {
 	co := c.co
 	si, ti := ref.Source.idx, ref.Target.idx
 	// Rule 3: support.
 	if !co.supports(ti, ref.Var) {
-		*out = append(*out, Violation{
-			Kind: KindNoSupport,
-			Ref:  ref,
-			Message: fmt.Sprintf("%s: target %s (%s) does not support %s",
-				ref, ref.Target.ID, ref.Target.Hosted(), ref.Var.Path()),
-		})
+		b := append(ref.appendText(sc.msg[:0]), ": target "...)
+		b = append(b, ref.Target.ID...)
+		b = append(b, " ("...)
+		b = append(b, ref.Target.Hosted()...)
+		b = append(b, ") does not support "...)
+		sc.msg = append(b, ref.Var.Path()...)
+		sc.violation(out, KindNoSupport, ref, nil)
 	}
 	// Rule 1: permission. The guarantee is constant across every
-	// permission probe for the reference, so hoist it.
+	// permission probe for the reference, so hoist it. The candidates are
+	// the target's own grants, then each containing domain's, walked in
+	// place: buildPerms numbers them so that this is ascending order.
 	t, strict, infreq := ref.guarantee()
-	best := 0
-	var bestPerm *Perm
-	for _, pi := range c.candidatePerms(ref, sc) {
-		level := c.permLevel(pi, si, ref, t, strict, infreq)
-		if level > best {
-			best = level
-			bestPerm = &c.m.Perms[pi]
-		}
+	best, bestPerm := c.bestPerm(co.permsByInst[ti], si, ref, t, strict, infreq, 0, nil)
+	for _, d := range co.instDoms(ti) {
 		if best == 3 {
 			break
 		}
+		best, bestPerm = c.bestPerm(co.permsByDom[d], si, ref, t, strict, infreq, best, bestPerm)
 	}
 	switch best {
 	case 3:
 		// permitted
 	case 2:
-		*out = append(*out, Violation{
-			Kind: KindFrequencyViolation, Ref: ref, NearMiss: bestPerm,
-			Message: fmt.Sprintf("%s: permitted at most every %gs by %s, but the reference only guarantees %s",
-				ref, bestPerm.MinPeriod, bestPerm.DeclaredBy, ref.Freq),
-		})
+		b := append(ref.appendText(sc.msg[:0]), ": permitted at most every "...)
+		b = strconv.AppendFloat(b, bestPerm.MinPeriod, 'g', -1, 64) // fmt's %g
+		b = append(b, "s by "...)
+		b = append(b, bestPerm.DeclaredBy...)
+		b = append(b, ", but the reference only guarantees "...)
+		sc.msg = ref.Freq.AppendTo(b)
+		sc.violation(out, KindFrequencyViolation, ref, bestPerm)
 	case 1:
-		*out = append(*out, Violation{
-			Kind: KindAccessViolation, Ref: ref, NearMiss: bestPerm,
-			Message: fmt.Sprintf("%s: %s grants only %s access",
-				ref, bestPerm.DeclaredBy, bestPerm.Access),
-		})
+		b := append(ref.appendText(sc.msg[:0]), ": "...)
+		b = append(b, bestPerm.DeclaredBy...)
+		b = append(b, " grants only "...)
+		b = append(b, bestPerm.Access.String()...)
+		sc.msg = append(b, " access"...)
+		sc.violation(out, KindAccessViolation, ref, bestPerm)
 	default:
-		*out = append(*out, Violation{
-			Kind: KindNoPermission, Ref: ref,
-			Message: fmt.Sprintf("%s: no permission covers this reference", ref),
-		})
+		sc.msg = append(ref.appendText(sc.msg[:0]), ": no permission covers this reference"...)
+		sc.violation(out, KindNoPermission, ref, nil)
 	}
 	// Rule 2: domain restrictions. Domain ids ascend in sorted-name
 	// order, so multiple restriction violations on one reference emit
@@ -298,11 +305,10 @@ func (c *Checker) checkRef(ref *Ref, out *[]Violation, sc *scratch) {
 			}
 		}
 		if !ok {
-			*out = append(*out, Violation{
-				Kind: KindDomainRestriction, Ref: ref, NearMiss: near,
-				Message: fmt.Sprintf("%s: domain %s restricts access to its members and grants no covering export",
-					ref, co.domName[d]),
-			})
+			b := append(ref.appendText(sc.msg[:0]), ": domain "...)
+			b = append(b, co.domName[d]...)
+			sc.msg = append(b, " restricts access to its members and grants no covering export"...)
+			sc.violation(out, KindDomainRestriction, ref, near)
 		}
 	}
 }

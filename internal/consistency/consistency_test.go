@@ -401,13 +401,11 @@ func TestCrossValidation(t *testing.T) {
 }
 
 // TestIndexedMatchesScan holds the grantor indexes to a brute-force
-// scan: on every parity model, candidatePerms returns, for every
-// reference, exactly the permissions (ascending) granted by the target
-// instance or by a domain containing it.
+// scan: on every parity model, the check's in-place candidate walk
+// visits, for every reference, exactly the permissions (ascending)
+// granted by the target instance or by a domain containing it.
 func TestIndexedMatchesScan(t *testing.T) {
 	for name, m := range parityModels(t) {
-		chk := NewChecker(m)
-		var sc scratch
 		for i := range m.Refs {
 			ref := &m.Refs[i]
 			var want []int32
@@ -416,8 +414,8 @@ func TestIndexedMatchesScan(t *testing.T) {
 					want = append(want, int32(pi))
 				}
 			}
-			if got := chk.candidatePerms(ref, &sc); !slices.Equal(got, want) {
-				t.Fatalf("%s: candidatePerms(%s) = %v, scan finds %v", name, ref, got, want)
+			if got := candidateWalk(m, ref.Target.idx); !slices.Equal(got, want) {
+				t.Fatalf("%s: candidate walk for %s = %v, scan finds %v", name, ref, got, want)
 			}
 		}
 	}

@@ -98,6 +98,21 @@ func (e *encoder) view(m *Model, view []string) {
 	e.str("\x02end-view")
 }
 
+// perms encodes the permissions pis.
+func (e *encoder) perms(m *Model, pis []int32) {
+	for _, pi := range pis {
+		p := &m.Perms[pi]
+		e.str(p.Grantee)
+		e.str(p.GrantorInst)
+		e.str(p.GrantorDomain)
+		e.str(p.DeclaredBy)
+		e.str(p.Var.Path())
+		e.access(p.Access)
+		e.f64(p.MinPeriod)
+		e.bool(p.Strict)
+	}
+}
+
 // fingerprint hashes everything checkRef consults for the reference. The
 // scratch's encoding buffer is reused across calls.
 func (c *Checker) fingerprint(ref *Ref, sc *scratch) [32]byte {
@@ -138,20 +153,15 @@ func (c *Checker) fingerprint(ref *Ref, sc *scratch) [32]byte {
 	}
 	e.str("\x02end-tgt")
 
-	// The candidate permissions, in index order. These subsume the
-	// restriction rule: a restricting domain's export list is exactly its
+	// The candidate permissions, in index order: the target's own grants,
+	// then each containing domain's, walked in place (buildPerms numbers
+	// them so that this is ascending). These subsume the restriction
+	// rule: a restricting domain's export list is exactly its
 	// grantor-domain permissions, all of which are candidates for any
 	// target the domain contains.
-	for _, pi := range c.candidatePerms(ref, sc) {
-		p := &m.Perms[pi]
-		e.str(p.Grantee)
-		e.str(p.GrantorInst)
-		e.str(p.GrantorDomain)
-		e.str(p.DeclaredBy)
-		e.str(p.Var.Path())
-		e.access(p.Access)
-		e.f64(p.MinPeriod)
-		e.bool(p.Strict)
+	e.perms(m, c.co.permsByInst[ref.Target.idx])
+	for _, d := range c.co.instDoms(ref.Target.idx) {
+		e.perms(m, c.co.permsByDom[d])
 	}
 
 	sc.enc = e.b

@@ -135,22 +135,37 @@ type Ref struct {
 	Var *mib.Node
 	// Access is the access mode the reference needs.
 	Access mib.Access
-	// Freq is the reference's declared frequency.
-	Freq ast.Freq
+	// Freq is the reference's declared frequency: the query's own
+	// clause, shared read-only with the specification (the AST is
+	// immutable once analysed).
+	Freq *ast.Freq
 	// Resolution records how Target was chosen.
 	Resolution TargetResolution
 }
 
 // String renders the reference for diagnostics.
-func (r Ref) String() string {
-	return fmt.Sprintf("ref(%s -> %s, %s, %s, frequency %s)",
-		r.Source.ID, r.Target.ID, r.Var.Path(), r.Access, r.Freq)
+func (r Ref) String() string { return string(r.appendText(nil)) }
+
+// appendText appends the String form to b and returns the extended
+// slice; violation messages start with it.
+func (r *Ref) appendText(b []byte) []byte {
+	b = append(b, "ref("...)
+	b = append(b, r.Source.ID...)
+	b = append(b, " -> "...)
+	b = append(b, r.Target.ID...)
+	b = append(b, ", "...)
+	b = append(b, r.Var.Path()...)
+	b = append(b, ", "...)
+	b = append(b, r.Access.String()...)
+	b = append(b, ", frequency "...)
+	b = r.Freq.AppendTo(b)
+	return append(b, ')')
 }
 
 // guarantee returns the reference's guaranteed minimum period and
 // strictness; infrequent references guarantee "rare" and satisfy any
 // permission period.
-func (r Ref) guarantee() (minPeriod float64, strict, infrequent bool) {
+func (r *Ref) guarantee() (minPeriod float64, strict, infrequent bool) {
 	if r.Freq.Infrequent {
 		return 0, false, true
 	}
@@ -326,9 +341,11 @@ func permFromExport(ex ast.Export) (minPeriod float64, strict bool) {
 }
 
 // buildPerms extracts the permissions and writes their id columns and
-// grantor indexes alongside. Appending in permission order keeps every
-// index list ascending, which candidatePerms and the fingerprint encoder
-// rely on.
+// grantor indexes alongside. It numbers every process-level permission
+// before any domain-level one, and the domain-level ones by ascending
+// domain id, so a target's own grants followed by each containing
+// domain's (instDoms order) are already in ascending index order: the
+// checker and the fingerprint encoder walk them in place in that order.
 func (m *Model) buildPerms() {
 	co := &m.co
 	co.permsByInst = make([][]int32, len(m.Instances))
@@ -430,22 +447,25 @@ func (m *Model) resolveTargets(in *Instance, q *ast.Query) ([]*Instance, TargetR
 	}
 	switch arg.Kind {
 	case ast.ArgStar:
-		// Late-bound: any agent able to serve every requested variable.
+		// Late-bound: any agent able to serve every requested variable
+		// (none, if one of them names nothing).
+		var buf [8]*mib.Node
 		var cands []*Instance
-		for _, cand := range m.Instances {
-			if cand == in || !cand.Proc.IsAgent() {
-				continue
-			}
-			all := true
-			for _, rv := range q.Requests {
-				node := m.resolveVar(rv)
-				if node == nil || !m.co.supports(cand.idx, node) {
-					all = false
-					break
+		if nodes, ok := m.resolveRequests(buf[:0], q); ok {
+			for _, cand := range m.Instances {
+				if cand == in || !cand.Proc.IsAgent() {
+					continue
 				}
-			}
-			if all {
-				cands = append(cands, cand)
+				all := true
+				for _, node := range nodes {
+					if !m.co.supports(cand.idx, node) {
+						all = false
+						break
+					}
+				}
+				if all {
+					cands = append(cands, cand)
+				}
 			}
 		}
 		if len(cands) == 0 {
@@ -476,7 +496,39 @@ func (m *Model) resolveTargets(in *Instance, q *ast.Query) ([]*Instance, TargetR
 	}
 }
 
+// resolveRequests appends to nodes the MIB nodes the query's requested
+// variables resolve to, dropping those that resolve to nothing, and
+// reports whether every one resolved.
+func (m *Model) resolveRequests(nodes []*mib.Node, q *ast.Query) ([]*mib.Node, bool) {
+	all := true
+	for _, rv := range q.Requests {
+		if node := m.resolveVar(rv); node != nil {
+			nodes = append(nodes, node)
+		} else {
+			all = false
+		}
+	}
+	return nodes, all
+}
+
+// buildRefs resolves every query's targets, then writes the references
+// into a table allocated once at its exact length: the late-bound
+// queries of a large internet give hundreds of thousands of references,
+// and a table grown by appending would copy them over and over.
 func (m *Model) buildRefs() {
+	type queryTargets struct {
+		src     *Instance
+		q       *ast.Query
+		targets []*Instance
+		res     TargetResolution
+	}
+	nq := 0
+	for _, in := range m.Instances {
+		nq += len(in.Proc.Queries)
+	}
+	queries := make([]queryTargets, 0, nq)
+	var buf [8]*mib.Node
+	n := 0
 	for _, in := range m.Instances {
 		for qi := range in.Proc.Queries {
 			q := &in.Proc.Queries[qi]
@@ -485,21 +537,24 @@ func (m *Model) buildRefs() {
 				m.Unresolved = append(m.Unresolved, UnresolvedTarget{Source: in, Query: q, Reason: failure})
 				continue
 			}
-			for _, tgt := range targets {
-				for _, rv := range q.Requests {
-					node := m.resolveVar(rv)
-					if node == nil {
-						continue
-					}
-					m.Refs = append(m.Refs, Ref{
-						Source:     in,
-						Target:     tgt,
-						Var:        node,
-						Access:     q.Access,
-						Freq:       q.Freq,
-						Resolution: res,
-					})
-				}
+			nodes, _ := m.resolveRequests(buf[:0], q)
+			n += len(targets) * len(nodes)
+			queries = append(queries, queryTargets{in, q, targets, res})
+		}
+	}
+	m.Refs = make([]Ref, 0, n)
+	for _, r := range queries {
+		nodes, _ := m.resolveRequests(buf[:0], r.q)
+		for _, tgt := range r.targets {
+			for _, node := range nodes {
+				m.Refs = append(m.Refs, Ref{
+					Source:     r.src,
+					Target:     tgt,
+					Var:        node,
+					Access:     r.q.Access,
+					Freq:       &r.q.Freq,
+					Resolution: r.res,
+				})
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -280,4 +281,75 @@ func TestRoutePanicAnswers500(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("the request after the panic got %d, want 200", rec.Code)
 	}
+}
+
+// FuzzServiceRequest sends a fuzzed method, tenant path and body through
+// the daemon's handler over a temp state directory holding one
+// installed tenant. Every answer a route gives must be an api/v1
+// document — a failure in the error envelope with the answer's code, a
+// success a JSON object whose api version, where it carries one, is
+// v1 — and no input may panic a route
+// (nmsl_panics_total{site="nmsld"} stays 0). Requests no route matches
+// get the mux's own plain-text 404/405 or a path-cleaning redirect.
+// The rollout route is left out: it sends datagrams to the addresses
+// in its body.
+func FuzzServiceRequest(f *testing.F) {
+	reg := obs.NewRegistry()
+	s, err := New(WithStateDir(f.TempDir()), WithMetrics(reg), WithFlushInterval(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = s.Close() })
+	spec := specReqFor(netsim.Params{Domains: 2, SystemsPerDomain: 1, Seed: 1})
+	if _, err := s.UpdateSpec(context.Background(), "t1", spec); err != nil {
+		f.Fatal(err)
+	}
+	specBody, err := json.Marshal(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Add(http.MethodGet, "t1", []byte(nil))
+	f.Add(http.MethodPut, "t2/spec", specBody)
+	f.Add(http.MethodPut, "t1/spec", []byte(`{"sources":[{"name":"x.nmsl","text":"domain d ::= end domain d."}]}`))
+	f.Add(http.MethodPost, "t1/check", []byte(`{"workers":2,"fail_fast":true}`))
+	f.Add(http.MethodPost, "t1/delta-check", []byte(nil))
+	f.Add(http.MethodPost, "t1/generate", []byte(nil))
+	f.Add(http.MethodPost, "t1/verify-change", []byte(`{"contract":"","sources":[]}`))
+	f.Add(http.MethodDelete, "t1", []byte(nil))
+	f.Add(http.MethodPost, "t1/check", []byte(`{"workers":`))
+	f.Add(http.MethodGet, "..%2f..%2fmetrics", []byte(nil))
+	f.Fuzz(func(t *testing.T, method, tenantPath string, body []byte) {
+		req, err := http.NewRequest(method, "/v1/tenants/"+tenantPath, bytes.NewReader(body))
+		if err != nil || strings.Contains(req.URL.Path, "rollout") {
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if n := reg.Snapshot().Value(obs.L(obs.MetricPanics, "site", "nmsld")); n != 0 {
+			t.Fatalf("%s %s: a route panicked (%d): %s", method, req.URL.Path, n, rec.Body)
+		}
+		code := rec.Code
+		if !strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
+			switch {
+			case code == http.StatusNoContent && method == http.MethodDelete,
+				code == http.StatusNotFound || code == http.StatusMethodNotAllowed,
+				code >= 300 && code < 400:
+				return
+			}
+			t.Fatalf("%s %s = %d with a %q body: %q", method, req.URL.Path, code, rec.Header().Get("Content-Type"), rec.Body)
+		}
+		var doc struct {
+			APIVersion *string `json:"api_version"`
+			Code       int     `json:"code"`
+			Message    string  `json:"message"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("%s %s = %d, not a JSON object: %v: %q", method, req.URL.Path, code, err, rec.Body)
+		}
+		versioned := doc.APIVersion == nil || *doc.APIVersion == apiv1.Version
+		if !versioned || code >= 400 && (doc.APIVersion == nil || doc.Code != code || doc.Message == "") {
+			t.Fatalf("%s %s = %d, not an api/v1 document: %q", method, req.URL.Path, code, rec.Body)
+		}
+	})
 }

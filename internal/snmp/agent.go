@@ -591,51 +591,14 @@ func (a *Agent) Handle(req *Message) *Message {
 		sp = obs.StartSpan("snmp.handle", obs.Label{Key: "type", Value: fmt.Sprintf("0x%02x", req.PDU.Type)})
 	}
 	defer sp.End()
-	a.mu.Lock()
-	a.stats.Requests++
-	a.om.requests.Inc()
-	cfg := a.cfg
-	cc := cfg.Communities[req.Community]
-	isAdmin := cfg.AdminCommunity != "" && req.Community == cfg.AdminCommunity
-	if cc == nil && !isAdmin {
-		a.stats.Denied++
-		a.om.denied.Inc()
-		a.mu.Unlock()
-		return nil // unknown community: drop, per SNMPv1 practice
-	}
-	// Retransmit detection: a client whose response was lost resends the
-	// identical request. Answering from the cache keeps the retry from
-	// being charged against the community's rate budget (and keeps Sets
-	// idempotent), which is what prevents the starvation spiral where
-	// MinInterval ~ client timeout turns every recovery attempt into a
-	// fresh rate-limit rejection.
-	if cached := a.lastReq[req.Community]; cached != nil && messagesEqual(cached, req) {
-		resp := a.lastResp[req.Community]
-		a.stats.Retransmits++
-		a.om.retransmits.Inc()
-		a.mu.Unlock()
-		sp.Label("outcome", "retransmit-cache")
+	cc, isAdmin, resp, outcome := a.admit(req)
+	if outcome != admitServe {
+		if outcome != admitDrop {
+			sp.Label("outcome", string(outcome))
+		}
 		return resp
 	}
-	// Rate enforcement: NMSL's frequency clause. Admin traffic is not
-	// rate limited. Rejected requests deliberately do NOT advance
-	// lastSeen: the budget meters requests the agent serves, so a too-
-	// eager client is delayed, not starved — advancing it on rejects
-	// would let a client that always polls early lock itself out forever.
-	if cc != nil && cc.MinInterval > 0 && !isAdmin {
-		now := a.now()
-		if last, ok := a.lastSeen[req.Community]; ok && now.Sub(last) < cc.MinInterval {
-			a.stats.RateLimited++
-			a.om.rateLimited.Inc()
-			a.mu.Unlock()
-			sp.Label("outcome", "rate-limited")
-			return errorResponse(req, GenErr, 0)
-		}
-		a.lastSeen[req.Community] = now
-	}
-	a.mu.Unlock()
 
-	var resp *Message
 	switch req.PDU.Type {
 	case TagGetRequest:
 		resp = a.handleGet(req, cc, isAdmin)
@@ -653,6 +616,63 @@ func (a *Agent) Handle(req *Message) *Message {
 		a.mu.Unlock()
 	}
 	return resp
+}
+
+// admission is what Handle's locked section decided about a request.
+type admission string
+
+const (
+	admitServe       admission = ""
+	admitDrop        admission = "dropped" // unknown community
+	admitRetransmit  admission = "retransmit-cache"
+	admitRateLimited admission = "rate-limited"
+)
+
+// admit is Handle's locked section: it counts the request, looks up its
+// community, answers a retransmission from the cache and enforces the
+// community's rate. It returns the community and, unless the request is
+// admitted, the response to send in place of serving it (nil to drop).
+// The lock is released by defer, so a panicking time source or
+// comparison cannot leave it held and deadlock every later datagram.
+func (a *Agent) admit(req *Message) (cc *CommunityConfig, isAdmin bool, resp *Message, outcome admission) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.stats.Requests++
+	a.om.requests.Inc()
+	cfg := a.cfg
+	cc = cfg.Communities[req.Community]
+	isAdmin = cfg.AdminCommunity != "" && req.Community == cfg.AdminCommunity
+	if cc == nil && !isAdmin {
+		a.stats.Denied++
+		a.om.denied.Inc()
+		return nil, false, nil, admitDrop // unknown community: drop, per SNMPv1 practice
+	}
+	// Retransmit detection: a client whose response was lost resends the
+	// identical request. Answering from the cache keeps the retry from
+	// being charged against the community's rate budget (and keeps Sets
+	// idempotent), which is what prevents the starvation spiral where
+	// MinInterval ~ client timeout turns every recovery attempt into a
+	// fresh rate-limit rejection.
+	if cached := a.lastReq[req.Community]; cached != nil && messagesEqual(cached, req) {
+		a.stats.Retransmits++
+		a.om.retransmits.Inc()
+		return cc, isAdmin, a.lastResp[req.Community], admitRetransmit
+	}
+	// Rate enforcement: NMSL's frequency clause. Admin traffic is not
+	// rate limited. Rejected requests deliberately do NOT advance
+	// lastSeen: the budget meters requests the agent serves, so a too-
+	// eager client is delayed, not starved — advancing it on rejects
+	// would let a client that always polls early lock itself out forever.
+	if cc != nil && cc.MinInterval > 0 && !isAdmin {
+		now := a.now()
+		if last, ok := a.lastSeen[req.Community]; ok && now.Sub(last) < cc.MinInterval {
+			a.stats.RateLimited++
+			a.om.rateLimited.Inc()
+			return cc, isAdmin, errorResponse(req, GenErr, 0), admitRateLimited
+		}
+		a.lastSeen[req.Community] = now
+	}
+	return cc, isAdmin, nil, admitServe
 }
 
 // messagesEqual reports whether two messages are byte-for-byte the same

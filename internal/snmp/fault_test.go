@@ -268,6 +268,55 @@ func TestRejectedRequestDoesNotAdvanceRateWindow(t *testing.T) {
 	}
 }
 
+// TestHandleReleasesLockOnPanic: a time source that panics inside
+// Handle's locked section must not leave the agent's lock held — the
+// next request is answered, not deadlocked.
+func TestHandleReleasesLockOnPanic(t *testing.T) {
+	store := NewStore()
+	tree := mib.NewStandard()
+	PopulateFromMIB(store, tree, "mgmt.mib")
+	agent := NewAgent(store, &Config{Communities: map[string]*CommunityConfig{
+		"public": {
+			Access:      mib.AccessReadOnly,
+			View:        []View{{Prefix: tree.Lookup("mgmt.mib").OID()}},
+			MinInterval: time.Millisecond,
+		},
+	}})
+	failed := false
+	agent.SetTimeSource(func() time.Time {
+		if !failed {
+			failed = true
+			panic("clock failure")
+		}
+		return time.Unix(1000, 0)
+	})
+	oid := tree.Lookup("mgmt.mib.system.sysDescr").OID()
+	req := func(id int32) *Message {
+		return &Message{Version: Version0, Community: "public", PDU: PDU{
+			Type: TagGetRequest, RequestID: id,
+			Bindings: []Binding{{OID: oid, Value: Null()}},
+		}}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the time source's panic did not reach Handle's caller")
+			}
+		}()
+		agent.Handle(req(1))
+	}()
+	answered := make(chan *Message, 1)
+	go func() { answered <- agent.Handle(req(2)) }()
+	select {
+	case resp := <-answered:
+		if resp == nil || resp.PDU.ErrorStatus != NoError {
+			t.Fatalf("request after the panic: %+v", resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Handle blocked after a panic: the agent's lock is still held")
+	}
+}
+
 // TestRetransmitCacheClearedOnReconfigure: a cached response computed
 // under the old policy must not answer a retransmit arriving after a
 // configuration change.
