@@ -121,12 +121,12 @@ func ParseFreq(items []parser.Item) (Freq, error) {
 	var val float64
 	switch items[i].Kind {
 	case parser.Int:
-		val = float64(items[i].IntVal)
+		val = float64(items[i].IntVal())
 	case parser.Float:
-		if items[i].FloatVal == 0 && items[i].Text != "0" {
+		val = items[i].FloatVal()
+		if val == 0 && items[i].Text != "0" {
 			return Freq{}, fmt.Errorf("bad frequency value %q", items[i].Text)
 		}
-		val = items[i].FloatVal
 	default:
 		return Freq{}, fmt.Errorf("expected frequency value, found %s", items[i].String())
 	}

@@ -10,8 +10,8 @@ import (
 	"nmsl/internal/token"
 )
 
-func item(kind parser.ItemKind, text string, intVal int64) parser.Item {
-	return parser.Item{Kind: kind, Text: text, IntVal: intVal, Pos: token.Pos{Line: 1, Column: 1}}
+func item(kind parser.ItemKind, text string) parser.Item {
+	return parser.Item{Kind: kind, Text: text, Pos: token.Pos{Line: 1, Column: 1}}
 }
 
 func TestParseFreqForms(t *testing.T) {
@@ -21,12 +21,12 @@ func TestParseFreqForms(t *testing.T) {
 		seconds float64
 		infreq  bool
 	}{
-		{[]parser.Item{item(parser.Word, "infrequent", 0)}, "", 0, true},
-		{[]parser.Item{item(parser.Op, ">=", 0), item(parser.Int, "5", 5), item(parser.Word, "minutes", 0)}, ">=", 300, false},
-		{[]parser.Item{item(parser.Op, ">", 0), item(parser.Int, "2", 2), item(parser.Word, "hours", 0)}, ">", 7200, false},
-		{[]parser.Item{item(parser.Op, "<=", 0), item(parser.Int, "30", 30), item(parser.Word, "seconds", 0)}, "<=", 30, false},
-		{[]parser.Item{item(parser.Int, "10", 10), item(parser.Word, "seconds", 0)}, "", 10, false},
-		{[]parser.Item{{Kind: parser.Float, Text: "2.5", FloatVal: 2.5}, item(parser.Word, "minutes", 0)}, "", 150, false},
+		{[]parser.Item{item(parser.Word, "infrequent")}, "", 0, true},
+		{[]parser.Item{item(parser.Op, ">="), item(parser.Int, "5"), item(parser.Word, "minutes")}, ">=", 300, false},
+		{[]parser.Item{item(parser.Op, ">"), item(parser.Int, "2"), item(parser.Word, "hours")}, ">", 7200, false},
+		{[]parser.Item{item(parser.Op, "<="), item(parser.Int, "30"), item(parser.Word, "seconds")}, "<=", 30, false},
+		{[]parser.Item{item(parser.Int, "10"), item(parser.Word, "seconds")}, "", 10, false},
+		{[]parser.Item{{Kind: parser.Float, Text: "2.5"}, item(parser.Word, "minutes")}, "", 150, false},
 	}
 	for i, c := range cases {
 		f, err := ParseFreq(c.items)
@@ -42,14 +42,14 @@ func TestParseFreqForms(t *testing.T) {
 func TestParseFreqErrors(t *testing.T) {
 	bad := [][]parser.Item{
 		nil,
-		{item(parser.Op, ">=", 0)},
-		{item(parser.Op, "!=", 0), item(parser.Int, "5", 5), item(parser.Word, "seconds", 0)},
-		{item(parser.Op, ">=", 0), item(parser.Int, "5", 5)},
-		{item(parser.Op, ">=", 0), item(parser.Int, "5", 5), item(parser.Word, "weeks", 0)},
-		{item(parser.Op, ">=", 0), item(parser.Word, "five", 0), item(parser.Word, "seconds", 0)},
-		{item(parser.Word, "infrequent", 0), item(parser.Int, "5", 5)},
-		{item(parser.Int, "5", 5), item(parser.Word, "seconds", 0), item(parser.Int, "9", 9)},
-		{{Kind: parser.Float, Text: "x.y"}, item(parser.Word, "seconds", 0)},
+		{item(parser.Op, ">=")},
+		{item(parser.Op, "!="), item(parser.Int, "5"), item(parser.Word, "seconds")},
+		{item(parser.Op, ">="), item(parser.Int, "5")},
+		{item(parser.Op, ">="), item(parser.Int, "5"), item(parser.Word, "weeks")},
+		{item(parser.Op, ">="), item(parser.Word, "five"), item(parser.Word, "seconds")},
+		{item(parser.Word, "infrequent"), item(parser.Int, "5")},
+		{item(parser.Int, "5"), item(parser.Word, "seconds"), item(parser.Int, "9")},
+		{{Kind: parser.Float, Text: "x.y"}, item(parser.Word, "seconds")},
 	}
 	for i, items := range bad {
 		if _, err := ParseFreq(items); err == nil {

@@ -198,7 +198,7 @@ func (c *Contract) parseMax(file string, cl *parser.Clause) error {
 		return errorf(file, cl.Pos, "max clause wants: max added|removed instances|permissions <n>")
 	}
 	dir, what := cl.Items[1].Text, cl.Items[2].Text
-	n := cl.Items[3].IntVal
+	n := cl.Items[3].IntVal()
 	if n < 0 { // the lexer produces unsigned ints; guard anyway
 		return errorf(file, cl.Items[3].Pos, "max clause: negative bound %d", n)
 	}

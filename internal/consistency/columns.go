@@ -78,8 +78,19 @@ func (co *columns) numberDomains(spec *ast.Spec, names []string) map[string][]in
 	for i, n := range names {
 		co.domOf[n] = int32(i)
 	}
+	// Each system's list of domains is carved from one table, at the
+	// length a first pass counts.
 	parents := make([][]int32, len(names))
-	sysDoms := map[string][]int32{}
+	listed := make(map[string]int, len(spec.Systems))
+	total := 0
+	for _, n := range names {
+		for _, sys := range spec.Domains[n].Systems {
+			listed[sys]++
+			total++
+		}
+	}
+	flat := make([]int32, total)
+	sysDoms := make(map[string][]int32, len(listed))
 	for i, n := range names {
 		d := spec.Domains[n]
 		for _, sub := range d.Subdomains {
@@ -88,7 +99,11 @@ func (co *columns) numberDomains(spec *ast.Spec, names []string) map[string][]in
 			}
 		}
 		for _, sys := range d.Systems {
-			sysDoms[sys] = append(sysDoms[sys], int32(i))
+			list, ok := sysDoms[sys]
+			if !ok {
+				list, flat = flat[:0:listed[sys]], flat[listed[sys]:]
+			}
+			sysDoms[sys] = append(list, int32(i))
 		}
 	}
 	// A depth-first walk up the parent edges per domain; seen[x] == d+1

@@ -330,18 +330,15 @@ func (t *Tree) Register(path string) (*Node, error) {
 	return cur, nil
 }
 
-// Lookup resolves a dotted name to a node, or nil if absent.
+// Lookup resolves a dotted name to a node, or nil if absent. It walks
+// the name's components in place: the linker and the model build look
+// up every MIB name a specification writes.
 func (t *Tree) Lookup(path string) *Node {
-	parts := strings.Split(path, ".")
-	cur, ok := t.roots[parts[0]]
-	if !ok {
-		return nil
-	}
-	for _, part := range parts[1:] {
+	part, rest, more := strings.Cut(path, ".")
+	cur := t.roots[part]
+	for cur != nil && more {
+		part, rest, more = strings.Cut(rest, ".")
 		cur = cur.children[part]
-		if cur == nil {
-			return nil
-		}
 	}
 	return cur
 }

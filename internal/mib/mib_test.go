@@ -342,3 +342,16 @@ func TestRegisterRootConflicts(t *testing.T) {
 		t.Error("conflicting root accepted")
 	}
 }
+
+// A full-path Lookup walks the name's components in place: the linker
+// and the model build look up every MIB name a specification writes.
+func TestLookupAllocs(t *testing.T) {
+	tree := NewStandard()
+	const path = "mgmt.mib.ip.ipAddrTable.IpAddrEntry.ipAdEntAddr"
+	if tree.Lookup(path) == nil {
+		t.Fatalf("%s does not resolve", path)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tree.Lookup(path) }); allocs != 0 {
+		t.Errorf("Lookup allocated %.0f times, want 0", allocs)
+	}
+}

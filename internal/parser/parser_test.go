@@ -133,7 +133,7 @@ func TestFigure46Parses(t *testing.T) {
 	for i, it := range iface.Items {
 		if it.IsWord("speed") {
 			if i+2 >= len(iface.Items) || iface.Items[i+1].Kind != Int ||
-				iface.Items[i+1].IntVal != 10000000 || !iface.Items[i+2].IsWord("bps") {
+				iface.Items[i+1].IntVal() != 10000000 || !iface.Items[i+2].IsWord("bps") {
 				t.Errorf("speed subclause malformed: %v", iface.Items[i:])
 			}
 			sawSpeed = true
@@ -341,7 +341,7 @@ func TestNestingBound(t *testing.T) {
 				t.Fatalf("err = %v, want an ErrorList", err)
 			}
 			want := fmt.Sprintf("nesting deeper than %d", maxNesting)
-			if list[0].Msg != want || list[0].Pos.Line != 1 || list[0].Pos.Column != len("process p ::= supports ")+maxNesting+1 {
+			if list[0].Msg != want || list[0].Pos.Line != 1 || int(list[0].Pos.Column) != len("process p ::= supports ")+maxNesting+1 {
 				t.Errorf("first error %q at %v, want %q at the group one past the bound", list[0].Msg, list[0].Pos, want)
 			}
 			if len(f.Decls) != tc.decls {
@@ -710,18 +710,13 @@ func (p *matParser) parseItem() *Item {
 		return &Item{Kind: Str, Text: t.Text, Pos: t.Pos}
 	case token.INT:
 		p.advance()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(t.Text, 10, 64); err != nil {
 			p.errorf(t.Pos, "integer literal %q out of range", t.Text)
 		}
-		return &Item{Kind: Int, Text: t.Text, IntVal: v, Pos: t.Pos}
+		return &Item{Kind: Int, Text: t.Text, Pos: t.Pos}
 	case token.FLOAT:
 		p.advance()
-		it := &Item{Kind: Float, Text: t.Text, Pos: t.Pos}
-		if v, err := strconv.ParseFloat(t.Text, 64); err == nil {
-			it.FloatVal = v
-		}
-		return it
+		return &Item{Kind: Float, Text: t.Text, Pos: t.Pos}
 	case token.STAR:
 		p.advance()
 		return &Item{Kind: Star, Text: "*", Pos: t.Pos}

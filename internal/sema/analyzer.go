@@ -3,7 +3,6 @@ package sema
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"nmsl/internal/ast"
 	"nmsl/internal/parser"
@@ -21,6 +20,11 @@ type Analyzer struct {
 	// pendingDomainRefs defers export-target domain checks until all
 	// domains are declared.
 	pendingDomainRefs []domainRef
+	// decl, clause and subs are reset for every declaration and clause
+	// analyzed: an action may not keep its context past its call.
+	decl   DeclContext
+	clause ClauseContext
+	subs   []Subclause
 }
 
 // NewAnalyzer returns an Analyzer with the basic-language tables
@@ -44,18 +48,33 @@ func (a *Analyzer) errorf(pos token.Pos, format string, args ...any) {
 // file, accumulating the typed model and semantic errors.
 func (a *Analyzer) AnalyzeFile(f *parser.File) {
 	a.files = append(a.files, f)
+	res := a.tables.resolver()
 	for _, d := range f.Decls {
-		a.analyzeDecl(d)
+		a.analyzeDecl(res, d)
 	}
 }
 
-func (a *Analyzer) analyzeDecl(d *parser.Decl) {
-	res := a.tables.ResolveDecl(d.Type)
+// declContext resets the analyzer's declaration context for d.
+func (a *Analyzer) declContext(d *parser.Decl) *DeclContext {
+	a.decl = DeclContext{Spec: a.spec, Decl: d, a: a}
+	return &a.decl
+}
+
+// clauseContext resets the analyzer's clause context for c, split at
+// subKeywords.
+func (a *Analyzer) clauseContext(c *parser.Clause, subKeywords map[string]bool) *ClauseContext {
+	a.subs = splitClause(a.subs[:0], c, subKeywords)
+	a.clause = ClauseContext{DeclContext: &a.decl, Clause: c, Subs: a.subs}
+	return &a.clause
+}
+
+func (a *Analyzer) analyzeDecl(tables *resolver, d *parser.Decl) {
+	res := tables.decl(d.Type)
 	if !res.Known() {
 		a.errorf(d.Pos, "unknown declaration type %q (expected type, process, system, domain or an extension-defined declaration)", d.Type)
 		return
 	}
-	ctx := &DeclContext{Spec: a.spec, Decl: d, a: a}
+	ctx := a.declContext(d)
 	if res.Generic.Begin != nil {
 		if err := res.Generic.Begin(ctx); err != nil {
 			a.errorf(d.Pos, "%s", err)
@@ -63,7 +82,7 @@ func (a *Analyzer) analyzeDecl(d *parser.Decl) {
 		}
 	}
 	for _, c := range d.Clauses {
-		a.analyzeClause(ctx, res, c)
+		a.analyzeClause(tables, res, c)
 	}
 	if res.Generic.End != nil {
 		if err := res.Generic.End(ctx); err != nil {
@@ -72,23 +91,22 @@ func (a *Analyzer) analyzeDecl(d *parser.Decl) {
 	}
 }
 
-func (a *Analyzer) analyzeClause(ctx *DeclContext, declRes DeclResolution, c *parser.Clause) {
+func (a *Analyzer) analyzeClause(tables *resolver, declRes *DeclResolution, c *parser.Clause) {
 	kw := c.Keyword()
-	cres := a.tables.ResolveClause(ctx.Decl.Type, kw)
+	cres := tables.clause(a.decl.Decl.Type, kw)
 	if !cres.Known() || cres.Generic == nil {
 		if declRes.Fallback != nil {
-			cctx := &ClauseContext{DeclContext: ctx, Clause: c, Subs: SplitClause(c, nil)}
-			if err := declRes.Fallback(cctx); err != nil {
+			if err := declRes.Fallback(a.clauseContext(c, nil)); err != nil {
 				a.errorf(c.Pos, "%s", err)
 			}
 			return
 		}
 		if !cres.Known() {
-			a.errorf(c.Pos, "unknown clause keyword %q in %s specification", kw, ctx.Decl.Type)
+			a.errorf(c.Pos, "unknown clause keyword %q in %s specification", kw, a.decl.Decl.Type)
 			return
 		}
 	}
-	cctx := &ClauseContext{DeclContext: ctx, Clause: c, Subs: SplitClause(c, cres.SubKeywords)}
+	cctx := a.clauseContext(c, cres.SubKeywords)
 	if cres.Generic != nil {
 		if err := cres.Generic(cctx); err != nil {
 			a.errorf(c.Pos, "%s", err)
@@ -109,12 +127,10 @@ func (a *Analyzer) Finish() (*ast.Spec, error) {
 // domain membership. The paper's compiler performs these checks in its
 // second pass via the symbol table.
 func (a *Analyzer) link() {
-	s := a.spec
 	a.linkTypes()
 	a.linkProcesses()
 	a.linkSystems()
 	a.linkDomains()
-	_ = s
 }
 
 func (a *Analyzer) linkTypes() {
@@ -131,8 +147,16 @@ func (a *Analyzer) linkTypes() {
 	}
 }
 
+// linkContext says where a name stands, as "process p exports"; it is
+// put into words only when the name fails to resolve.
+type linkContext struct {
+	decl, name, clause string
+}
+
+func (c linkContext) String() string { return c.decl + " " + c.name + " " + c.clause }
+
 // resolveMIBPath checks that a dotted MIB name resolves in the tree.
-func (a *Analyzer) resolveMIBPath(pos token.Pos, path, context string) {
+func (a *Analyzer) resolveMIBPath(pos token.Pos, path string, context linkContext) {
 	if a.spec.MIB.LookupSuffix(path) == nil {
 		a.errorf(pos, "%s: MIB name %q does not resolve", context, path)
 	}
@@ -142,15 +166,15 @@ func (a *Analyzer) linkProcesses() {
 	for _, name := range a.spec.ProcessNames() {
 		ps := a.spec.Processes[name]
 		for _, v := range ps.Supports {
-			a.resolveMIBPath(ps.Decl.Pos, v, fmt.Sprintf("process %s supports", name))
+			a.resolveMIBPath(ps.Decl.Pos, v, linkContext{"process", name, "supports"})
 		}
 		for _, ex := range ps.Exports {
 			for _, v := range ex.Vars {
-				a.resolveMIBPath(ex.Pos, v, fmt.Sprintf("process %s exports", name))
+				a.resolveMIBPath(ex.Pos, v, linkContext{"process", name, "exports"})
 			}
 			// export target domains are resolved in linkDomains (all
 			// domains must be declared by then), recorded here:
-			a.requireDomain(ex.Pos, ex.To, fmt.Sprintf("process %s exports to", name))
+			a.requireDomain(ex.Pos, ex.To, linkContext{"process", name, "exports to"})
 		}
 		for _, q := range ps.Queries {
 			a.linkQuery(ps, q)
@@ -168,10 +192,10 @@ func (a *Analyzer) linkQuery(ps *ast.ProcessSpec, q ast.Query) {
 		a.errorf(q.Pos, "process %s queries undeclared process %q", ps.Name, q.Target)
 	}
 	for _, r := range q.Requests {
-		a.resolveMIBPath(q.Pos, r, fmt.Sprintf("process %s requests", ps.Name))
+		a.resolveMIBPath(q.Pos, r, linkContext{"process", ps.Name, "requests"})
 	}
 	for _, sel := range q.Using {
-		a.resolveMIBPath(sel.Pos, sel.Var, fmt.Sprintf("process %s using", ps.Name))
+		a.resolveMIBPath(sel.Pos, sel.Var, linkContext{"process", ps.Name, "using"})
 		// the selection value may be a formal parameter; words that are
 		// not parameters must be literals or MIB names.
 		if sel.Value.Kind == parser.Word {
@@ -182,41 +206,43 @@ func (a *Analyzer) linkQuery(ps *ast.ProcessSpec, q ast.Query) {
 	}
 }
 
-func (a *Analyzer) requireDomain(pos token.Pos, name, context string) {
+func (a *Analyzer) requireDomain(pos token.Pos, name string, context linkContext) {
 	a.pendingDomainRefs = append(a.pendingDomainRefs, domainRef{pos, name, context})
 }
 
 type domainRef struct {
 	pos     token.Pos
 	name    string
-	context string
+	context linkContext
 }
 
 func (a *Analyzer) linkSystems() {
 	for _, name := range a.spec.SystemNames() {
 		ss := a.spec.Systems[name]
 		for _, v := range ss.Supports {
-			a.resolveMIBPath(ss.Decl.Pos, v, fmt.Sprintf("system %s supports", name))
+			a.resolveMIBPath(ss.Decl.Pos, v, linkContext{"system", name, "supports"})
 		}
 		for _, pi := range ss.Processes {
-			a.linkInstance(pi, "system "+name)
+			a.linkInstance(pi, "system", name)
 		}
 	}
 }
 
-func (a *Analyzer) linkInstance(pi ast.ProcInstance, where string) {
+// linkInstance checks an instantiation in the declaration decl name.
+func (a *Analyzer) linkInstance(pi ast.ProcInstance, decl, name string) {
 	ps, ok := a.spec.Processes[pi.Name]
 	if !ok {
-		a.errorf(pi.Pos, "%s instantiates undeclared process %q", where, pi.Name)
+		a.errorf(pi.Pos, "%s %s instantiates undeclared process %q", decl, name, pi.Name)
 		return
 	}
 	if len(pi.Args) != len(ps.Params) {
-		a.errorf(pi.Pos, "%s instantiates %s with %d arguments, want %d", where, pi.Name, len(pi.Args), len(ps.Params))
+		a.errorf(pi.Pos, "%s %s instantiates %s with %d arguments, want %d", decl, name, pi.Name, len(pi.Args), len(ps.Params))
 	}
 }
 
 func (a *Analyzer) linkDomains() {
-	for _, name := range a.spec.DomainNames() {
+	names := a.spec.DomainNames()
+	for _, name := range names {
 		ds := a.spec.Domains[name]
 		for _, sys := range ds.Systems {
 			if _, ok := a.spec.Systems[sys]; !ok {
@@ -229,13 +255,13 @@ func (a *Analyzer) linkDomains() {
 			}
 		}
 		for _, pi := range ds.Processes {
-			a.linkInstance(pi, "domain "+name)
+			a.linkInstance(pi, "domain", name)
 		}
 		for _, ex := range ds.Exports {
 			for _, v := range ex.Vars {
-				a.resolveMIBPath(ex.Pos, v, fmt.Sprintf("domain %s exports", name))
+				a.resolveMIBPath(ex.Pos, v, linkContext{"domain", name, "exports"})
 			}
-			a.requireDomain(ex.Pos, ex.To, fmt.Sprintf("domain %s exports to", name))
+			a.requireDomain(ex.Pos, ex.To, linkContext{"domain", name, "exports to"})
 		}
 	}
 	for _, ref := range a.pendingDomainRefs {
@@ -243,19 +269,20 @@ func (a *Analyzer) linkDomains() {
 			a.errorf(ref.pos, "%s undeclared domain %q", ref.context, ref.name)
 		}
 	}
-	a.checkDomainCycles()
+	a.checkDomainCycles(names)
 }
 
 // checkDomainCycles rejects cyclic subdomain nesting: domains may nest
 // and overlap (section 4.1.5), but a containment cycle would make the
-// consistency model's transitive containment diverge.
-func (a *Analyzer) checkDomainCycles() {
+// consistency model's transitive containment diverge. names are the
+// declared domains, sorted.
+func (a *Analyzer) checkDomainCycles(names []string) {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := map[string]int{}
+	color := make(map[string]int, len(names))
 	var stack []string
 	var visit func(name string) bool
 	visit = func(name string) bool {
@@ -282,8 +309,6 @@ func (a *Analyzer) checkDomainCycles() {
 		color[name] = black
 		return true
 	}
-	names := a.spec.DomainNames()
-	sort.Strings(names)
 	for _, name := range names {
 		if color[name] == white && !visit(name) {
 			a.errorf(a.spec.Domains[name].Decl.Pos, "domain nesting cycle involving %q", stack[len(stack)-1])
@@ -299,9 +324,10 @@ func (a *Analyzer) checkDomainCycles() {
 // specific action.
 func (a *Analyzer) Generate(tag string, w io.Writer) error {
 	e := NewEmitter(w)
+	tables := a.tables.resolver()
 	for _, f := range a.files {
 		for _, d := range f.Decls {
-			res := a.tables.ResolveDecl(d.Type)
+			res := tables.decl(d.Type)
 			if !res.Known() {
 				continue
 			}
@@ -312,7 +338,7 @@ func (a *Analyzer) Generate(tag string, w io.Writer) error {
 				}
 			}
 			for _, c := range d.Clauses {
-				cres := a.tables.ResolveClause(d.Type, c.Keyword())
+				cres := tables.clause(d.Type, c.Keyword())
 				if !cres.Known() {
 					continue
 				}

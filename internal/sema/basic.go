@@ -2,6 +2,7 @@ package sema
 
 import (
 	"fmt"
+	"slices"
 
 	"nmsl/internal/asn1"
 	"nmsl/internal/ast"
@@ -22,9 +23,17 @@ func registerBasic(t *Tables) {
 }
 
 // parseVList parses a comma-separated list of names (VList in Figure
-// 4.3): words (possibly dotted) or quoted strings.
-func parseVList(items []parser.Item) ([]string, error) {
-	var out []string
+// 4.3): words (possibly dotted) or quoted strings. It appends them to
+// dst, grown once for the whole list; with an error it returns nil, and
+// dst's elements are as they were.
+func parseVList(dst []string, items []parser.Item) ([]string, error) {
+	names := 0
+	for _, it := range items {
+		if it.Kind == parser.Word || it.Kind == parser.Str {
+			names++
+		}
+	}
+	out := slices.Grow(dst, names)
 	expectName := true
 	for _, it := range items {
 		if it.Kind == parser.Op && it.Text == "," {
@@ -45,10 +54,10 @@ func parseVList(items []parser.Item) ([]string, error) {
 		}
 		expectName = false
 	}
-	if expectName && len(out) > 0 {
+	if expectName && len(out) > len(dst) {
 		return nil, fmt.Errorf("trailing \",\" in name list")
 	}
-	if len(out) == 0 {
+	if len(out) == len(dst) {
 		return nil, fmt.Errorf("empty name list")
 	}
 	return out, nil
@@ -88,7 +97,7 @@ func parseExport(ctx *ClauseContext) (ast.Export, bool) {
 func ParseExport(ctx *ClauseContext) (ast.Export, bool) {
 	ex := ast.Export{Pos: ctx.Clause.Pos, Access: mib.AccessUnspecified}
 	lead := ctx.Subs[0]
-	vars, err := parseVList(lead.Items)
+	vars, err := parseVList(nil, lead.Items)
 	if err != nil {
 		ctx.Errorf(lead.Pos, "exports: %s", err)
 		return ex, false
@@ -171,9 +180,9 @@ func parseInstance(sub *Subclause) (ast.ProcInstance, error) {
 		case parser.Word:
 			pi.Args = append(pi.Args, ast.Arg{Kind: ast.ArgWord, Text: it.Text, Pos: it.Pos})
 		case parser.Int:
-			pi.Args = append(pi.Args, ast.Arg{Kind: ast.ArgNumber, Text: it.Text, Num: float64(it.IntVal), Pos: it.Pos})
+			pi.Args = append(pi.Args, ast.Arg{Kind: ast.ArgNumber, Text: it.Text, Num: float64(it.IntVal()), Pos: it.Pos})
 		case parser.Float:
-			pi.Args = append(pi.Args, ast.Arg{Kind: ast.ArgNumber, Text: it.Text, Num: it.FloatVal, Pos: it.Pos})
+			pi.Args = append(pi.Args, ast.Arg{Kind: ast.ArgNumber, Text: it.Text, Num: it.FloatVal(), Pos: it.Pos})
 		default:
 			return ast.ProcInstance{}, fmt.Errorf("bad argument %s for %s", it.String(), pi.Name)
 		}
@@ -277,11 +286,11 @@ func registerProcessDecl(t *Tables) {
 		Keyword:  "supports",
 		Generic: func(ctx *ClauseContext) error {
 			ps := ctx.Value.(*ast.ProcessSpec)
-			vars, err := parseVList(ctx.Subs[0].Items)
+			vars, err := parseVList(ps.Supports, ctx.Subs[0].Items)
 			if err != nil {
 				return fmt.Errorf("supports: %s", err)
 			}
-			ps.Supports = append(ps.Supports, vars...)
+			ps.Supports = vars
 			return nil
 		},
 	})
@@ -328,13 +337,13 @@ func parseQuery(ctx *ClauseContext) (ast.Query, bool) {
 	for _, sub := range ctx.Subs[1:] {
 		switch sub.Keyword {
 		case "requests":
-			vars, err := parseVList(sub.Items)
+			vars, err := parseVList(q.Requests, sub.Items)
 			if err != nil {
 				ctx.Errorf(sub.Pos, "requests: %s", err)
 				ok = false
 				continue
 			}
-			q.Requests = append(q.Requests, vars...)
+			q.Requests = vars
 		case "using":
 			sels, err := parseUsing(sub.Items)
 			if err != nil {
@@ -493,11 +502,11 @@ func registerSystemDecl(t *Tables) {
 		Keyword:  "supports",
 		Generic: func(ctx *ClauseContext) error {
 			ss := ctx.Value.(*ast.SystemSpec)
-			vars, err := parseVList(ctx.Subs[0].Items)
+			vars, err := parseVList(ss.Supports, ctx.Subs[0].Items)
 			if err != nil {
 				return fmt.Errorf("supports: %s", err)
 			}
-			ss.Supports = append(ss.Supports, vars...)
+			ss.Supports = vars
 			return nil
 		},
 	})
@@ -540,7 +549,7 @@ func parseInterface(ctx *ClauseContext) (ast.Interface, bool) {
 			}
 			ifc.Net = n
 		case "protocols":
-			list, err := parseVList(sub.Items)
+			list, err := parseVList(nil, sub.Items)
 			if err != nil {
 				ctx.Errorf(sub.Pos, "interface protocols: %s", err)
 				ok = false
@@ -562,7 +571,7 @@ func parseInterface(ctx *ClauseContext) (ast.Interface, bool) {
 				ok = false
 				continue
 			}
-			ifc.SpeedBPS = sub.Items[0].IntVal
+			ifc.SpeedBPS = sub.Items[0].IntVal()
 		default:
 			ctx.Errorf(sub.Pos, "interface: unknown subclause %q", sub.Keyword)
 			ok = false

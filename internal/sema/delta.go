@@ -192,7 +192,6 @@ func procInstanceEqual(a, b ast.ProcInstance) bool {
 func argEqual(a, b ast.Arg) bool { return a.Kind == b.Kind && a.Text == b.Text && a.Num == b.Num }
 
 func itemEqual(a, b parser.Item) bool {
-	return a.Kind == b.Kind && a.Text == b.Text && a.IntVal == b.IntVal &&
-		a.FloatVal == b.FloatVal && a.Delim == b.Delim &&
+	return a.Kind == b.Kind && a.Text == b.Text && a.Delim == b.Delim &&
 		slices.EqualFunc(a.Items, b.Items, itemEqual)
 }

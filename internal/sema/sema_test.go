@@ -413,7 +413,7 @@ func TestSplitClauseAnonymousLead(t *testing.T) {
 	}
 	_ = f
 	c := &parser.Clause{Items: []parser.Item{
-		{Kind: parser.Int, Text: "5", IntVal: 5},
+		{Kind: parser.Int, Text: "5"},
 		{Kind: parser.Word, Text: "seconds"},
 	}}
 	subs := SplitClause(c, map[string]bool{})

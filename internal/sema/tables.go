@@ -23,6 +23,7 @@ package sema
 
 import (
 	"fmt"
+	"slices"
 
 	"nmsl/internal/ast"
 	"nmsl/internal/parser"
@@ -49,24 +50,33 @@ type Subclause struct {
 // appends to it gets a copy and cannot reach the next subclause. Actions
 // must not assign to its elements.
 func SplitClause(c *parser.Clause, subKeywords map[string]bool) []Subclause {
+	return splitClause(nil, c, subKeywords)
+}
+
+// splitClause is SplitClause appending to subs, so that the analyzer
+// splits every clause into the one buffer.
+func splitClause(subs []Subclause, c *parser.Clause, subKeywords map[string]bool) []Subclause {
 	items := c.Items
 	if len(items) == 0 {
-		return nil
+		return subs
 	}
 	// Where each subclause starts: at its keyword or, for a clause that
 	// does not begin with a word, at the first item of the anonymous
 	// subclause that collects what precedes the first keyword.
 	var buf [8]int
 	starts := append(buf[:0], 0)
-	for i := 1; i < len(items); i++ {
-		if items[i].Kind == parser.Word && subKeywords[items[i].Text] {
-			starts = append(starts, i)
+	if len(subKeywords) > 0 {
+		for i := 1; i < len(items); i++ {
+			if items[i].Kind == parser.Word && subKeywords[items[i].Text] {
+				starts = append(starts, i)
+			}
 		}
 	}
-	subs := make([]Subclause, len(starts))
+	base := len(subs)
+	subs = slices.Grow(subs, len(starts))[:base+len(starts)]
 	for n, at := range starts {
-		sub := &subs[n]
-		sub.Pos = items[at].Pos
+		sub := &subs[base+n]
+		*sub = Subclause{Pos: items[at].Pos}
 		if items[at].Kind == parser.Word {
 			sub.Keyword = items[at].Text
 			at++
@@ -82,7 +92,8 @@ func SplitClause(c *parser.Clause, subKeywords map[string]bool) []Subclause {
 	return subs
 }
 
-// DeclContext carries the state of analyzing one declaration.
+// DeclContext carries the state of analyzing one declaration; like a
+// ClauseContext, it is valid only during the actions it is passed to.
 type DeclContext struct {
 	// Spec is the specification being built.
 	Spec *ast.Spec
@@ -100,7 +111,9 @@ func (ctx *DeclContext) Errorf(pos token.Pos, format string, args ...any) {
 	ctx.a.errorf(pos, format, args...)
 }
 
-// ClauseContext carries the state of analyzing one clause.
+// ClauseContext carries the state of analyzing one clause. A context,
+// its DeclContext and its Subs are valid only during the action they
+// are passed to: the analyzer reuses them for the next clause.
 type ClauseContext struct {
 	*DeclContext
 	Clause *parser.Clause
@@ -241,6 +254,42 @@ func (t *Tables) ResolveDecl(declType string) DeclResolution {
 		}
 	}
 	return r
+}
+
+// resolver memoizes the resolutions of one pass over the declarations,
+// during which the tables do not change: a specification uses a handful
+// of (declaration type, keyword) pairs thousands of times over.
+type resolver struct {
+	t       *Tables
+	decls   map[string]*DeclResolution
+	clauses map[[2]string]*ClauseResolution
+}
+
+func (t *Tables) resolver() *resolver {
+	return &resolver{t: t, decls: map[string]*DeclResolution{}, clauses: map[[2]string]*ClauseResolution{}}
+}
+
+// decl is ResolveDecl, shared by every declaration of the type.
+func (r *resolver) decl(declType string) *DeclResolution {
+	res, ok := r.decls[declType]
+	if !ok {
+		v := r.t.ResolveDecl(declType)
+		res = &v
+		r.decls[declType] = res
+	}
+	return res
+}
+
+// clause is ResolveClause, shared by every clause of the pair.
+func (r *resolver) clause(declType, keyword string) *ClauseResolution {
+	key := [2]string{declType, keyword}
+	res, ok := r.clauses[key]
+	if !ok {
+		v := r.t.ResolveClause(declType, keyword)
+		res = &v
+		r.clauses[key] = res
+	}
+	return res
 }
 
 // ClauseResolution is the merged view of one clause keyword within a

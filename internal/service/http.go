@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	apiv1 "nmsl/api/v1"
 	"nmsl/internal/obs"
@@ -35,6 +36,11 @@ const maxBodyBytes = 64 << 20
 //	POST   /v1/tenants/{id}/rollout        install configs at a fleet
 //	POST   /v1/tenants/{id}/verify-change  check a proposed revision against change contracts
 //	GET    /metrics, /debug/vars, /debug/pprof/...  (internal/obs)
+//
+// A request under /v1/ that no route matches is answered in the error
+// envelope too: 404 for a path no route has, 405 with the mux's Allow
+// header for a method the path's routes do not take. Path-cleaning
+// redirects, and requests outside /v1/, get the mux's own answer.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -120,7 +126,43 @@ func (s *Service) Handler() http.Handler {
 	mux.Handle("/metrics", obsHandler)
 	mux.Handle("/debug/", obsHandler)
 
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" && strings.HasPrefix(r.URL.Path, "/v1/") {
+			uw := &unmatchedWriter{ResponseWriter: w}
+			h.ServeHTTP(uw, r)
+			switch uw.code {
+			case http.StatusNotFound:
+				s.writeCode(w, uw.code, fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path))
+			case http.StatusMethodNotAllowed:
+				s.writeCode(w, uw.code, fmt.Sprintf("method %s not allowed for %s (allowed: %s)", r.Method, r.URL.Path, w.Header().Get("Allow")))
+			}
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// unmatchedWriter passes on the mux's answer to a request no route
+// matches, except a 404 or 405: of those it keeps only the code, and
+// the headers the mux set (Allow), for the error envelope.
+type unmatchedWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (u *unmatchedWriter) WriteHeader(code int) {
+	if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+		u.code = code
+		return
+	}
+	u.ResponseWriter.WriteHeader(code)
+}
+
+func (u *unmatchedWriter) Write(b []byte) (int, error) {
+	if u.code != 0 {
+		return len(b), nil
+	}
+	return u.ResponseWriter.Write(b)
 }
 
 // checkHandler adapts Check/DeltaCheck (same shape) into a handler.

@@ -289,10 +289,10 @@ func TestRoutePanicAnswers500(t *testing.T) {
 // document — a failure in the error envelope with the answer's code, a
 // success a JSON object whose api version, where it carries one, is
 // v1 — and no input may panic a route
-// (nmsl_panics_total{site="nmsld"} stays 0). Requests no route matches
-// get the mux's own plain-text 404/405 or a path-cleaning redirect.
-// The rollout route is left out: it sends datagrams to the addresses
-// in its body.
+// (nmsl_panics_total{site="nmsld"} stays 0). A request no route
+// matches is answered in the error envelope too, except a path-cleaning
+// redirect. The rollout route is left out: it sends datagrams to the
+// addresses in its body.
 func FuzzServiceRequest(f *testing.F) {
 	reg := obs.NewRegistry()
 	s, err := New(WithStateDir(f.TempDir()), WithMetrics(reg), WithFlushInterval(0))
@@ -333,7 +333,6 @@ func FuzzServiceRequest(f *testing.F) {
 		if !strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
 			switch {
 			case code == http.StatusNoContent && method == http.MethodDelete,
-				code == http.StatusNotFound || code == http.StatusMethodNotAllowed,
 				code >= 300 && code < 400:
 				return
 			}
@@ -352,4 +351,61 @@ func FuzzServiceRequest(f *testing.F) {
 			t.Fatalf("%s %s = %d, not an api/v1 document: %q", method, req.URL.Path, code, rec.Body)
 		}
 	})
+}
+
+// TestUnmatchedV1Envelope: a request under /v1/ that no route matches
+// gets the api/v1 error envelope, 404 for an unknown path and 405, with
+// the routes' Allow header, for a method the path does not take. A
+// path-cleaning redirect and a request outside /v1/ get the mux's own
+// answer.
+func TestUnmatchedV1Envelope(t *testing.T) {
+	s := newTestService(t)
+	if _, err := s.UpdateSpec(context.Background(), "t1", specReqFor(netsim.Params{Domains: 2, SystemsPerDomain: 1, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		allow        string // the Allow header a 405 keeps
+		envelope     bool
+	}{
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, "", true},
+		{http.MethodGet, "/v1/", http.StatusNotFound, "", true},
+		{http.MethodPost, "/v1/tenants/t1/bogus", http.StatusNotFound, "", true},
+		{http.MethodGet, "/v1/tenants/t1/spec/extra", http.StatusNotFound, "", true},
+		{http.MethodPatch, "/v1/tenants/t1", http.StatusMethodNotAllowed, "DELETE, GET, HEAD", true},
+		{http.MethodGet, "/v1/tenants/t1/check", http.StatusMethodNotAllowed, "POST", true},
+		{http.MethodPost, "/v1/tenants", http.StatusMethodNotAllowed, "GET, HEAD", true},
+		{http.MethodGet, "/v1/tenants/t1/spec", http.StatusMethodNotAllowed, "PUT", true},
+		{http.MethodGet, "/v1/tenants/../tenants", http.StatusMovedPermanently, "", false},
+		{http.MethodGet, "/v1//tenants", http.StatusMovedPermanently, "", false},
+		{http.MethodGet, "/nope", http.StatusNotFound, "", false},
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed, "GET, HEAD", false},
+		{http.MethodGet, "/v1/tenants/t1", http.StatusOK, "", false},
+		{http.MethodGet, "/v1/tenants/ghost", http.StatusNotFound, "", true},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		where := tc.method + " " + tc.path
+		if rec.Code != tc.code {
+			t.Errorf("%s = %d, want %d: %q", where, rec.Code, tc.code, rec.Body)
+			continue
+		}
+		if got := rec.Header().Get("Allow"); got != tc.allow {
+			t.Errorf("%s: Allow %q, want %q", where, got, tc.allow)
+		}
+		isJSON := strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json")
+		if !tc.envelope {
+			if isJSON && tc.code != http.StatusOK {
+				t.Errorf("%s = %d in JSON, want the mux's own answer: %q", where, rec.Code, rec.Body)
+			}
+			continue
+		}
+		var e apiv1.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); !isJSON || err != nil ||
+			e.APIVersion != apiv1.Version || e.Code != tc.code || e.Message == "" {
+			t.Errorf("%s = %d, not the api/v1 error envelope (%v): %q", where, rec.Code, err, rec.Body)
+		}
+	}
 }

@@ -13,7 +13,7 @@ package token
 import "fmt"
 
 // Kind classifies a lexical token.
-type Kind int
+type Kind uint8
 
 // Token kinds. SPECIAL covers single-character punctuation that the
 // generalized grammar treats uniformly ("special" in Figure 6.1).
@@ -91,10 +91,13 @@ func (k Kind) String() string {
 }
 
 // Pos is a source position: byte offset, 1-based line and column.
+// Every declaration, clause, item and diagnostic carries one, so its
+// fields are 32 bits wide; parser.Parse refuses a source of 2 GiB or
+// more, whose offsets would not fit.
 type Pos struct {
-	Offset int
-	Line   int
-	Column int
+	Offset int32
+	Line   int32
+	Column int32
 }
 
 // String formats the position as "line:column".
@@ -105,11 +108,11 @@ func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a single lexical token with its source text and position.
 type Token struct {
-	Kind Kind
 	// Text is the literal source text. For STRING tokens the surrounding
 	// quotes are stripped.
 	Text string
 	Pos  Pos
+	Kind Kind
 }
 
 // String renders the token for diagnostics.

@@ -134,3 +134,42 @@ func cpuTimeOf(t *testing.T, fn func()) time.Duration {
 	}
 	return time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
 }
+
+// TestCompileAllocsPerDecl pins what compiling costs per declaration,
+// NewCompiler through Finish (the model build included), on the 1,000-
+// and 10,000-domain nesting-1 netsim texts edit-1k and pipeline-10k
+// compile: at most 17 allocations and 2,775 bytes (half and three
+// quarters of the 34 and 3.7 KB the front end took when it allocated
+// per token, per clause and per name), and the same at both sizes
+// within 10 %. Counts, not times: they hold on any machine.
+func TestCompileAllocsPerDecl(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 10,000-domain specification")
+	}
+	const maxAllocs, maxBytes = 17.0, 2775.0
+	var rates [2][2]float64 // per size: allocations, bytes per declaration
+	for i, domains := range []int{1000, 10000} {
+		src := netsim.Source(netsim.Params{Domains: domains, SystemsPerDomain: 2, NestingDepth: 1, Seed: 1})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		spec := compileSource(t, "decls.nmsl", src)
+		runtime.ReadMemStats(&after)
+		ast := spec.AST()
+		decls := len(ast.Types) + len(ast.Processes) + len(ast.Systems) + len(ast.Domains)
+		rates[i] = [2]float64{
+			float64(after.Mallocs-before.Mallocs) / float64(decls),
+			float64(after.TotalAlloc-before.TotalAlloc) / float64(decls),
+		}
+		t.Logf("%d domains, %d declarations: %.1f allocations and %.0f bytes per declaration",
+			domains, decls, rates[i][0], rates[i][1])
+		if rates[i][0] > maxAllocs || rates[i][1] > maxBytes {
+			t.Errorf("%d domains: %.1f allocations and %.0f bytes per declaration, want at most %.0f and %.0f",
+				domains, rates[i][0], rates[i][1], maxAllocs, maxBytes)
+		}
+	}
+	for k, what := range []string{"allocations", "bytes"} {
+		if small, large := rates[0][k], rates[1][k]; large > 1.1*small || small > 1.1*large {
+			t.Errorf("%s per declaration: %.1f at 1k domains, %.1f at 10k; want them within 10%%", what, small, large)
+		}
+	}
+}
